@@ -136,9 +136,6 @@ Status SimConfig::Validate() const {
         "tail_sketch requires tail_metrics (the sketch only feeds the tail "
         "percentiles)");
   }
-  if (run.shards < 0 || run.shards > 256) {
-    return Status::InvalidArgument("shards must be in [0, 256]");
-  }
   return fault.Validate();
 }
 
@@ -197,7 +194,6 @@ std::string RunToJson(const RunSection& r) {
       .Add("trace_capacity", r.trace_capacity)
       .Add("tail_metrics", r.tail_metrics)
       .Add("tail_sketch", r.tail_sketch)
-      .Add("shards", r.shards)
       .Add("seed", r.seed);
   return w.ToString();
 }
@@ -346,8 +342,6 @@ Status ParseRun(const JsonValue& obj, RunSection* r) {
       s = ReadBool("run", key, v, &r->tail_metrics);
     } else if (key == "tail_sketch") {
       s = ReadBool("run", key, v, &r->tail_sketch);
-    } else if (key == "shards") {
-      s = ReadInt("run", key, v, &r->shards);
     } else if (key == "seed") {
       s = ReadUint64("run", key, v, &r->seed);
     } else {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "machine/sharded_dpn.h"
 #include "sched/low_lb.h"
 #include "sched/scheduler_factory.h"
 #include "util/logging.h"
@@ -68,23 +67,8 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
   WTPG_CHECK(valid.ok()) << valid.ToString();
   WTPG_CHECK_LT(workload_.MaxFileId(), config.machine.num_files)
       << "pattern references files beyond num_files";
-  dpns_.reserve(static_cast<size_t>(config.machine.num_nodes));
-  if (config.run.shards > 0) {
-    // Sharded-clock PDES (DESIGN.md section 13). The reaction floor is the
-    // two CN message hops (step-return receive + dispatch send) every
-    // completion-to-dispatch path crosses.
-    engine_ = std::make_unique<ShardedEngine>(
-        &sim_, config.run.shards, 2 * MsToTime(config.costs.msg_time_ms));
-    for (int i = 0; i < config.machine.num_nodes; ++i) {
-      dpns_.push_back(std::make_unique<ShardedDpnProxy>(
-          engine_.get(), &sim_, i % config.run.shards, i,
-          config.costs.obj_time_ms));
-    }
-  } else {
-    for (int i = 0; i < config.machine.num_nodes; ++i) {
-      dpns_.push_back(
-          std::make_unique<Dpn>(&sim_, i, config.costs.obj_time_ms));
-    }
+  for (int i = 0; i < config.machine.num_nodes; ++i) {
+    dpns_.emplace_back(&sim_, i, config.costs.obj_time_ms);
   }
   if (auto* low_lb = dynamic_cast<LowLbScheduler*>(scheduler_.get())) {
     low_lb->set_load_probe(
@@ -139,7 +123,7 @@ void Machine::RegisterMachineGauges() {
   });
   gauges.Register("dpn.backlog_objects", [this] {
     double backlog = 0.0;
-    for (const auto& dpn : dpns_) backlog += dpn->BacklogObjects();
+    for (const auto& dpn : dpns_) backlog += dpn.BacklogObjects();
     return backlog;
   });
   gauges.Register("machine.commits", [this] {
@@ -168,17 +152,17 @@ void Machine::RegisterMachineGauges() {
   for (int i = 0; i < config_.machine.num_nodes; ++i) {
     const auto node = static_cast<size_t>(i);
     gauges.Register(StrCat("dpn", i, ".utilization"), [this, node] {
-      return dpns_[node]->Utilization();
+      return dpns_[node].Utilization();
     });
     gauges.Register(StrCat("dpn", i, ".backlog_objects"), [this, node] {
-      return dpns_[node]->BacklogObjects();
+      return dpns_[node].BacklogObjects();
     });
   }
   if (faults_enabled_) {
     gauges.Register("fault.down_nodes", [this] {
       size_t down = 0;
       for (const auto& dpn : dpns_) {
-        if (!dpn->up()) ++down;
+        if (!dpn.up()) ++down;
       }
       return static_cast<double>(down);
     });
@@ -219,8 +203,8 @@ std::pair<double, double> Machine::WaitAges() const {
 double Machine::BacklogObjectsForFile(FileId file) const {
   double total = 0.0;
   for (int c = 0; c < placement_.dd(); ++c) {
-    total += dpns_[static_cast<size_t>(placement_.NodeFor(file, c))]
-                 ->BacklogObjects();
+    const auto node = static_cast<size_t>(placement_.NodeFor(file, c));
+    total += dpns_[node].BacklogObjects();
   }
   return total / placement_.dd();
 }
@@ -245,17 +229,13 @@ RunStats Machine::Run() {
   }
   ScheduleNextArrival();
   ScheduleTelemetrySample();
-  if (engine_ != nullptr) {
-    engine_->Run(config_.horizon());
-  } else {
-    sim_.RunUntil(config_.horizon());
-  }
+  sim_.RunUntil(config_.horizon());
 
   double mean_util = 0.0;
   double max_util = 0.0;
   for (const auto& dpn : dpns_) {
-    mean_util += dpn->Utilization();
-    max_util = std::max(max_util, dpn->Utilization());
+    mean_util += dpn.Utilization();
+    max_util = std::max(max_util, dpn.Utilization());
   }
   mean_util /= static_cast<double>(dpns_.size());
   scheduler_->ExportCounters(&stats_.counters());
@@ -507,7 +487,7 @@ void Machine::StartCohorts(TxnId id) {
   // A scan cannot run against a crashed partition; the transaction aborts
   // exactly as if the node failed under it.
   for (int c = 0; c < placement_.dd(); ++c) {
-    if (!dpns_[static_cast<size_t>(placement_.NodeFor(spec.file, c))]->up()) {
+    if (!dpns_[static_cast<size_t>(placement_.NodeFor(spec.file, c))].up()) {
       FaultCounter("fault.crash_victims") += 1;
       FaultAbort(id, kAbortNodeCrash);
       return;
@@ -533,7 +513,7 @@ void Machine::StartCohorts(TxnId id) {
   cohorts_remaining_[id] = dd;
   for (int c = 0; c < dd; ++c) {
     const NodeId node = placement_.NodeFor(spec.file, c);
-    DpnPort& dpn = *dpns_[static_cast<size_t>(node)];
+    Dpn& dpn = dpns_[static_cast<size_t>(node)];
     trace_.Record({.time = sim_.Now(),
                    .type = TraceEventType::kScanStart,
                    .txn = id,
@@ -680,7 +660,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
       OnDpnCrash(event.node);
       break;
     case FaultEventKind::kDpnRepair: {
-      DpnPort& dpn = *dpns_[static_cast<size_t>(event.node)];
+      Dpn& dpn = dpns_[static_cast<size_t>(event.node)];
       if (dpn.up()) break;
       dpn.Repair();
       FaultCounter("fault.repairs") += 1;
@@ -690,7 +670,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
       break;
     }
     case FaultEventKind::kSlowdownStart: {
-      DpnPort& dpn = *dpns_[static_cast<size_t>(event.node)];
+      Dpn& dpn = dpns_[static_cast<size_t>(event.node)];
       // A window opening on a crashed node is lost: the node comes back
       // from repair at full speed.
       if (!dpn.up()) break;
@@ -704,7 +684,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
       break;
     }
     case FaultEventKind::kSlowdownEnd: {
-      DpnPort& dpn = *dpns_[static_cast<size_t>(event.node)];
+      Dpn& dpn = dpns_[static_cast<size_t>(event.node)];
       if (!dpn.up() || dpn.slowdown() == 1.0) break;
       dpn.set_slowdown(1.0);
       trace_.Record({.time = sim_.Now(),
@@ -721,7 +701,7 @@ void Machine::OnFaultEvent(const FaultEvent& event) {
 }
 
 void Machine::OnDpnCrash(NodeId node) {
-  DpnPort& dpn = *dpns_[static_cast<size_t>(node)];
+  Dpn& dpn = dpns_[static_cast<size_t>(node)];
   if (!dpn.up()) return;
   FaultCounter("fault.crashes") += 1;
   trace_.Record({.time = sim_.Now(),
@@ -773,7 +753,7 @@ void Machine::FaultAbort(TxnId id, AbortReason reason) {
   auto cj = cohort_jobs_.find(id);
   if (cj != cohort_jobs_.end()) {
     for (const auto& [node, job] : cj->second) {
-      dpns_[static_cast<size_t>(node)]->CancelCohort(job);
+      dpns_[static_cast<size_t>(node)].CancelCohort(job);
     }
     cohort_jobs_.erase(cj);
   }

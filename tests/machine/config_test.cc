@@ -1,5 +1,7 @@
 #include "machine/config.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace wtpgsched {
@@ -62,6 +64,16 @@ TEST(ConfigTest, RejectsBadMplAndK) {
   c.machine.mpl = 1;
   c.low_k = -1;
   EXPECT_FALSE(c.Validate().ok());
+}
+
+// run.shards was removed with the sharded-clock engine; a stale config that
+// still sets it must fail loudly, not be silently ignored.
+TEST(ConfigTest, FromJsonRejectsRemovedShardsKey) {
+  const StatusOr<SimConfig> parsed =
+      SimConfig::FromJson(R"({"run": {"shards": 4}})");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("unknown key"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(ConfigTest, SchedulerKindNames) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
 namespace wtpgsched {
 namespace {
 
@@ -33,7 +34,7 @@ TEST(CsvEscapeTest, NewlineQuoted) {
 }
 
 TEST(CsvWriterTest, WritesRows) {
-  const std::string path = testing::TempDir() + "/csv_test.csv";
+  const std::string path = UniqueTempPath("csv_test.csv");
   CsvWriter w;
   ASSERT_TRUE(w.Open(path).ok());
   w.WriteHeader({"x", "y"});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/common_flags.h"
+
 namespace wtpgsched {
 namespace {
 
@@ -68,6 +70,17 @@ TEST(FlagParserTest, PositionalArguments) {
 TEST(FlagParserTest, UnknownFlagFails) {
   FlagParser flags = MakeParser();
   EXPECT_FALSE(ParseArgs(&flags, {"--bogus=1"}).ok());
+}
+
+// --shards was removed with the sharded-clock engine; the tools must reject
+// it rather than ignore it.
+TEST(FlagParserTest, CommonToolFlagsRejectRemovedShards) {
+  FlagParser flags;
+  AddCommonToolFlags(flags);
+  const Status status = ParseArgs(&flags, {"--shards=4"});
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unknown flag"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(FlagParserTest, BadIntFails) {

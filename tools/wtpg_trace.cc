@@ -9,7 +9,9 @@
 //   wtpg-trace check-serializable <trace.jsonl>
 //       Post-hoc serialization-order check: rebuilds the conflict graph
 //       from the traced data accesses and verifies acyclicity. Exits 0 when
-//       serializable, 1 when a cycle is found (expected only for NODC).
+//       serializable, 1 when a cycle is found (expected only for NODC), and
+//       3 ("inconclusive") when the recording ring dropped events: a
+//       truncated history can hide a cycle, so it yields no verdict.
 //
 //   wtpg-trace perfetto <trace.jsonl> <out.json>
 //       Converts the trace to Chrome trace-event format, loadable in
@@ -54,6 +56,15 @@ int LoadTrace(const std::string& path, ParsedTrace* trace) {
   return 0;
 }
 
+// Prints the inconclusive verdict for a trace whose ring dropped events and
+// returns true; returns false (printing nothing) for a complete trace.
+bool PrintIfTruncated(const ParsedTrace& trace) {
+  if (trace.dropped == 0) return false;
+  std::printf("serializability    inconclusive (%llu events dropped)\n",
+              static_cast<unsigned long long>(trace.dropped));
+  return true;
+}
+
 double Pct(double part, double whole) {
   return whole > 0.0 ? 100.0 * part / whole : 0.0;
 }
@@ -87,6 +98,7 @@ int RunSummary(const std::string& path, int top) {
               summary.mean_execution_s, Pct(summary.mean_execution_s, mean));
   std::printf("  other (CN etc.)  %.3f s (%.1f%%)\n", summary.mean_other_s,
               Pct(summary.mean_other_s, mean));
+  PrintIfTruncated(trace);
 
   std::printf("event counts:\n");
   for (const auto& [name, count] : summary.event_counts) {
@@ -119,6 +131,7 @@ int RunSummary(const std::string& path, int top) {
 int RunCheckSerializable(const std::string& path) {
   ParsedTrace trace;
   if (int rc = LoadTrace(path, &trace); rc != 0) return rc;
+  if (PrintIfTruncated(trace)) return 3;
   const SerializabilityResult result = CheckTraceSerializable(trace.events);
   std::printf("serializability    %s\n", result.ToString().c_str());
   return result.serializable ? 0 : 1;
