@@ -9,16 +9,16 @@
 // The example shows the three integration points:
 //   1. subclass a scheduler (or Scheduler/WtpgSchedulerBase directly),
 //   2. inject it into Machine via the custom-scheduler constructor,
-//   3. verify the history with the serializability checker.
+//   3. verify the recorded history with the serializability checker.
 //
 //   ./build/examples/custom_scheduler
 
 #include <cstdio>
 #include <memory>
 
-#include "analysis/serializability.h"
 #include "machine/machine.h"
 #include "sched/c2pl.h"
+#include "trace/trace_analysis.h"
 
 using namespace wtpgsched;
 
@@ -58,13 +58,13 @@ RunStats RunWith(std::unique_ptr<Scheduler> scheduler, const char* label) {
   config.workload.arrival_rate_tps = 0.6;
   config.run.horizon_ms = 2'000'000;
   config.run.seed = 7;
+  config.run.trace_enabled = true;  // The history the check reads.
   Machine machine(config, Pattern::Experiment1(16), std::move(scheduler));
   const RunStats stats = machine.Run();
-  const SerializabilityResult check =
-      CheckConflictSerializability(machine.schedule_log());
+  const HistoryCheck check = CheckRecordedHistory(machine.trace());
   std::printf("%-10s mean-rt=%7.1fs p95=%7.1fs tput=%5.2ftps %s\n", label,
               stats.mean_response_s, stats.p95_response_s,
-              stats.throughput_tps, check.ToString().c_str());
+              stats.throughput_tps, check.text.c_str());
   return stats;
 }
 

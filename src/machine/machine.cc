@@ -84,13 +84,9 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
   if (config.machine.batch_mpl > 0) {
     scheduler_->set_admission(AdmissionControl{config.machine.batch_mpl});
   }
-  // Run-health telemetry. The legacy timeline is a view over the same
-  // store, so timeline_sample_ms alone also constructs the bundle (at the
-  // legacy period); telemetry_sample_ms wins when both are set, and only
-  // it opts the run into health.* counters (see Run()).
-  const double sample_ms = config.run.telemetry_sample_ms > 0.0
-                               ? config.run.telemetry_sample_ms
-                               : config.run.timeline_sample_ms;
+  // Run-health telemetry; it also opts the run into health.* counters (see
+  // Run()).
+  const double sample_ms = config.run.telemetry_sample_ms;
   if (sample_ms > 0.0) {
     // The configured capacity is an upper bound; a finite horizon needs at
     // most horizon/period rows, so clamp to that and keep the per-replica
@@ -103,14 +99,13 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
             std::min(config.run.telemetry_capacity, expected)));
     RegisterMachineGauges();
     telemetry_->Seal();
-    timeline_.Attach(&telemetry_->store());
   }
 }
 
 void Machine::RegisterMachineGauges() {
   GaugeRegistry& gauges = telemetry_->gauges();
-  // Registration order is the store's column order; the legacy timeline
-  // schema reads its six columns by name, so renames here are breaking.
+  // Registration order is the store's column order, and the exported
+  // column names are the CSV/JSONL schema, so renames here are breaking.
   gauges.Register("machine.in_flight", [this] {
     return static_cast<double>(txns_.size());
   });
@@ -245,12 +240,11 @@ RunStats Machine::Run() {
     stats_.counters().Counter("admission.gated") = scheduler_->admission_gated();
   }
   if (trace_.enabled()) trace_.ExportCounters(&stats_.counters());
-  // health.* counters are gated on the telemetry config key (not on the
-  // bundle existing): a legacy timeline-only run keeps its counter set —
-  // and therefore its JSON — byte-identical to prior versions. The
-  // decision-path counters (retry-storm and cache visibility) share the
-  // same gate for the same reason, in fixed order ahead of the health set.
-  if (telemetry_ != nullptr && config_.run.telemetry_sample_ms > 0.0) {
+  // Only telemetry runs export health.* counters, so an unsampled run's
+  // JSON stays byte-identical to the goldens. The decision-path counters
+  // (retry-storm and cache visibility) share the same gate for the same
+  // reason, in fixed order ahead of the health set.
+  if (telemetry_ != nullptr) {
     stats_.counters().Counter("sched.decision_retries") = decision_retries_;
     stats_.counters().Counter("sched.block_shortcuts") = block_shortcuts_;
     scheduler_->ExportDecisionCounters(&stats_.counters());
@@ -493,11 +487,10 @@ void Machine::StartCohorts(TxnId id) {
       return;
     }
   }
-  // Log the data access. Reads take effect as the scan runs. Writes do too
-  // under locking schedulers (in-place, protected by the X lock); under OPT
-  // they go to private copies and are logged at commit instead.
+  // Record the data access. Reads take effect as the scan runs. Writes do
+  // too under locking schedulers (in-place, protected by the X lock); under
+  // OPT they go to private copies and are recorded at commit instead.
   if (spec.access == LockMode::kShared || !scheduler_->traits().defers_writes) {
-    log_.RecordAccess(id, txn.restarts, spec.file, spec.access, sim_.Now());
     trace_.Record({.time = sim_.Now(),
                    .type = TraceEventType::kDataAccess,
                    .txn = id,
@@ -620,8 +613,6 @@ void Machine::OnCommitDone(TxnId id) {
     // Deferred updates are installed now.
     for (const StepSpec& spec : txn.steps()) {
       if (spec.access == LockMode::kExclusive) {
-        log_.RecordAccess(id, txn.restarts, spec.file, spec.access,
-                          sim_.Now());
         trace_.Record({.time = sim_.Now(),
                        .type = TraceEventType::kDataAccess,
                        .txn = id,
@@ -631,7 +622,6 @@ void Machine::OnCommitDone(TxnId id) {
       }
     }
   }
-  log_.RecordCommit(id, txn.restarts);
   trace_.Record({.time = sim_.Now(),
                  .type = TraceEventType::kCommit,
                  .txn = id,
@@ -874,8 +864,8 @@ void Machine::RetryAdmissions() {
 void Machine::ScheduleTelemetrySample() {
   if (telemetry_ == nullptr) return;
   const SimTime period = telemetry_->period();
-  // Same schedule the legacy timeline used: samples land at exact
-  // multiples of the period, the last one at the horizon inclusive.
+  // Samples land at exact multiples of the period, the last one at the
+  // horizon inclusive.
   if (sim_.Now() + period > config_.horizon()) return;
   sim_.ScheduleAfter(period, [this] { TakeTelemetrySample(); });
 }

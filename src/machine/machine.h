@@ -9,14 +9,12 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/schedule_log.h"
 #include "fault/fault_plan.h"
 #include "machine/config.h"
 #include "machine/control_node.h"
 #include "machine/data_placement.h"
 #include "machine/dpn.h"
 #include "metrics/stats.h"
-#include "metrics/timeline.h"
 #include "model/transaction.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
@@ -69,22 +67,16 @@ class Machine {
   Simulator& simulator() { return sim_; }
   Scheduler& scheduler() { return *scheduler_; }
   const DataPlacement& placement() const { return placement_; }
-  const ScheduleLog& schedule_log() const { return log_; }
   const SimConfig& config() const { return config_; }
 
-  // Time-series samples (empty unless config.run.timeline_sample_ms or
-  // telemetry_sample_ms is > 0). A legacy-schema view over the telemetry
-  // store below.
-  const TimelineRecorder& timeline() const { return timeline_; }
-
   // Run-health telemetry: the sampled gauge store and detectors. Null when
-  // both telemetry_sample_ms and timeline_sample_ms are 0 — a disabled run
-  // pays nothing.
+  // telemetry_sample_ms is 0 — a disabled run pays nothing.
   const Telemetry* telemetry() const { return telemetry_.get(); }
 
   // Structured event trace (empty unless config.run.trace_enabled). Holds the
   // most recent config.run.trace_capacity events; per-type counts cover the
-  // whole run.
+  // whole run. The one record of the run's history: its kDataAccess and
+  // kCommit events are what CheckTraceSerializable judges.
   const TraceRecorder& trace() const { return trace_; }
 
   // Scan backlog (objects) over the nodes holding `file`'s partitions
@@ -171,9 +163,7 @@ class Machine {
   // A deque: Dpn is immovable (its scan server's callbacks capture it).
   std::deque<Dpn> dpns_;
   StatsCollector stats_;
-  ScheduleLog log_;
   std::unique_ptr<Telemetry> telemetry_;
-  TimelineRecorder timeline_;
   TraceRecorder trace_;
 
   std::map<TxnId, std::unique_ptr<Transaction>> txns_;

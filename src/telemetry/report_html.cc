@@ -131,6 +131,10 @@ void AppendVerdicts(const ReportRun& run, std::string* out) {
                    " windows)</span>");
   }
   if (!any) *out += "<span class=\"badge\">no health counters in trace</span>";
+  if (!run.truncation.empty()) {
+    *out += StrCat("<span class=\"badge bad\">trace.truncated: ",
+                   HtmlEscape(run.truncation), "</span>");
+  }
   *out += "</div>\n";
 }
 

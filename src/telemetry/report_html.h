@@ -20,11 +20,15 @@ struct ReportRun {
   // series[g] holds (time_seconds, value) points for gauge_names[g].
   std::vector<std::vector<std::pair<double, double>>> series;
   std::vector<std::pair<std::string, uint64_t>> counters;
+  // Why the run's trace is incomplete ("" when it is not); shown as a
+  // trace.truncated badge, since an incomplete trace supports no verdict.
+  std::string truncation;
 };
 
 // Renders a self-contained HTML document (inline CSS + SVG, no external
-// resources): per run, health verdict badges from the health.* counters and
-// one time-series chart per gauge, grouped by gauge-name prefix.
+// resources): per run, health verdict badges from the health.* counters, a
+// trace.truncated badge when `truncation` is set, and one time-series chart
+// per gauge, grouped by gauge-name prefix.
 std::string RenderRunReport(const std::vector<ReportRun>& runs);
 
 // RenderRunReport + write to `path`.

@@ -1,8 +1,10 @@
 #include "trace/trace_analysis.h"
 
+#include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
-#include "analysis/schedule_log.h"
+#include "util/string_util.h"
 
 namespace wtpgsched {
 
@@ -20,6 +22,36 @@ struct TxnState {
   SimTime lock_wait = 0;
   SimTime execution = 0;
 };
+
+// DFS colors for cycle detection.
+enum class Color { kWhite, kGray, kBlack };
+
+bool FindCycle(TxnId node,
+               const std::unordered_map<TxnId, std::unordered_set<TxnId>>& adj,
+               std::unordered_map<TxnId, Color>* color,
+               std::vector<TxnId>* stack, std::vector<TxnId>* cycle) {
+  (*color)[node] = Color::kGray;
+  stack->push_back(node);
+  auto it = adj.find(node);
+  if (it != adj.end()) {
+    for (TxnId next : it->second) {
+      Color c = color->count(next) ? (*color)[next] : Color::kWhite;
+      if (c == Color::kGray) {
+        // Extract the cycle from the stack.
+        auto pos = std::find(stack->begin(), stack->end(), next);
+        cycle->assign(pos, stack->end());
+        return true;
+      }
+      if (c == Color::kWhite &&
+          FindCycle(next, adj, color, stack, cycle)) {
+        return true;
+      }
+    }
+  }
+  stack->pop_back();
+  (*color)[node] = Color::kBlack;
+  return false;
+}
 
 }  // namespace
 
@@ -113,22 +145,97 @@ TraceSummary SummarizeTrace(const std::vector<TraceEvent>& events) {
   return summary;
 }
 
+std::string SerializabilityResult::ToString() const {
+  if (serializable) return "serializable";
+  std::vector<std::string> parts;
+  for (TxnId id : cycle) parts.push_back(StrCat("T", id));
+  return StrCat("NOT serializable; cycle: ", Join(parts, " -> "));
+}
+
 SerializabilityResult CheckTraceSerializable(
     const std::vector<TraceEvent>& events) {
-  ScheduleLog log;
+  SerializabilityResult result;
+  // txn id -> committed incarnation.
+  std::unordered_map<TxnId, int> committed;
   for (const TraceEvent& e : events) {
-    switch (e.type) {
-      case TraceEventType::kDataAccess:
-        log.RecordAccess(e.txn, e.incarnation, e.file, e.mode, e.time);
-        break;
-      case TraceEventType::kCommit:
-        log.RecordCommit(e.txn, e.incarnation);
-        break;
-      default:
-        break;
+    if (e.type == TraceEventType::kCommit) committed[e.txn] = e.incarnation;
+  }
+
+  // Indices of the committed accesses per file, in time order.
+  std::map<FileId, std::vector<size_t>> per_file;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (e.type != TraceEventType::kDataAccess) continue;
+    auto it = committed.find(e.txn);
+    if (it == committed.end() || it->second != e.incarnation) continue;
+    per_file[e.file].push_back(i);
+  }
+
+  std::unordered_map<TxnId, std::unordered_set<TxnId>> adj;
+  for (auto& [file, accesses] : per_file) {
+    (void)file;
+    std::sort(accesses.begin(), accesses.end(), [&](size_t a, size_t b) {
+      if (events[a].time != events[b].time) {
+        return events[a].time < events[b].time;
+      }
+      return a < b;
+    });
+    for (size_t i = 0; i < accesses.size(); ++i) {
+      for (size_t j = i + 1; j < accesses.size(); ++j) {
+        const TraceEvent& a = events[accesses[i]];
+        const TraceEvent& b = events[accesses[j]];
+        if (a.txn == b.txn) continue;
+        if (Conflicts(a.mode, b.mode)) adj[a.txn].insert(b.txn);
+      }
     }
   }
-  return CheckConflictSerializability(log);
+
+  std::unordered_map<TxnId, Color> color;
+  std::vector<TxnId> stack;
+  for (const auto& [txn, incarnation] : committed) {
+    (void)incarnation;
+    Color c = color.count(txn) ? color[txn] : Color::kWhite;
+    if (c == Color::kWhite &&
+        FindCycle(txn, adj, &color, &stack, &result.cycle)) {
+      result.serializable = false;
+      return result;
+    }
+  }
+  result.serializable = true;
+  return result;
+}
+
+std::string IncompleteHistoryNote(size_t kept, uint64_t dropped,
+                                  bool footer_seen) {
+  if (dropped > 0) {
+    const uint64_t recorded = kept + dropped;
+    return StrCat("inconclusive (", dropped, " of ", recorded,
+                  " events dropped; rerun with --trace-capacity=", recorded,
+                  ")");
+  }
+  if (!footer_seen) {
+    return StrCat("inconclusive (no end footer after ", kept,
+                  " events; the trace file is cut short)");
+  }
+  return "";
+}
+
+HistoryCheck CheckRecordedHistory(const std::vector<TraceEvent>& events,
+                                  uint64_t dropped, bool footer_seen) {
+  HistoryCheck check;
+  check.text = IncompleteHistoryNote(events.size(), dropped, footer_seen);
+  if (!check.text.empty()) {
+    check.exit_code = 3;
+    return check;
+  }
+  const SerializabilityResult result = CheckTraceSerializable(events);
+  check.text = result.ToString();
+  check.exit_code = result.serializable ? 0 : 1;
+  return check;
+}
+
+HistoryCheck CheckRecordedHistory(const TraceRecorder& trace) {
+  return CheckRecordedHistory(trace.Snapshot(), trace.dropped());
 }
 
 }  // namespace wtpgsched

@@ -1,13 +1,14 @@
 #ifndef WTPG_SCHED_TRACE_TRACE_ANALYSIS_H_
 #define WTPG_SCHED_TRACE_TRACE_ANALYSIS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "analysis/serializability.h"
 #include "trace/trace_event.h"
+#include "trace/trace_recorder.h"
 
 namespace wtpgsched {
 
@@ -46,13 +47,48 @@ struct TraceSummary {
 // skipped (their response time cannot be reconstructed).
 TraceSummary SummarizeTrace(const std::vector<TraceEvent>& events);
 
-// Post-hoc serialization-order check: replays the trace's data accesses and
-// commits into a precedence (conflict) graph and verifies acyclicity — the
-// correctness oracle for every scheduler except NODC. Equivalent to
-// CheckConflictSerializability over the machine's ScheduleLog, but driven
-// entirely from an exported trace.
+// Conflict-serializability verdict for the committed projection of a
+// recorded history.
+struct SerializabilityResult {
+  bool serializable = false;
+  // One witness cycle (transaction ids) when not serializable.
+  std::vector<TxnId> cycle;
+  std::string ToString() const;
+};
+
+// Post-hoc serialization-order check, the correctness oracle for every
+// scheduler except NODC. Builds the conflict graph over committed
+// transactions — an edge a -> b for each pair of conflicting kDataAccess
+// events (same file, at least one write) where a's access has the earlier
+// time, equal times ordered by position in `events` — and tests it for
+// acyclicity. Accesses of transactions without a kCommit, and of any
+// incarnation other than the committed one (aborted OPT incarnations never
+// installed their writes), are ignored. An access's time is when it touches
+// the shared database: the scan for reads and in-place writes, the commit
+// for OPT's deferred writes.
 SerializabilityResult CheckTraceSerializable(
     const std::vector<TraceEvent>& events);
+
+// The truncation rule every consumer of a recorded history applies. A ring
+// that overwrote `dropped` events, or a trace file without its end footer,
+// holds part of the history only; the missing part can hide a cycle, so it
+// supports no verdict. Returns "" for a complete history, else the
+// "inconclusive (...)" text to report in place of a verdict. `kept` is the
+// number of events at hand.
+std::string IncompleteHistoryNote(size_t kept, uint64_t dropped,
+                                  bool footer_seen = true);
+
+// CheckTraceSerializable behind the truncation rule, as `wtpg_sim --verify`
+// and `wtpg-trace check-serializable` report it.
+struct HistoryCheck {
+  // "serializable", "NOT serializable; cycle: ...", or "inconclusive (...)".
+  std::string text;
+  int exit_code = 0;  // 0 serializable, 1 not serializable, 3 inconclusive.
+};
+HistoryCheck CheckRecordedHistory(const std::vector<TraceEvent>& events,
+                                  uint64_t dropped, bool footer_seen = true);
+// Same, over an in-memory recorder (Machine::trace()).
+HistoryCheck CheckRecordedHistory(const TraceRecorder& trace);
 
 }  // namespace wtpgsched
 

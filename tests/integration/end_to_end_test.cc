@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/serializability.h"
 #include "machine/machine.h"
+#include "trace/trace_analysis.h"
 
 namespace wtpgsched {
 namespace {
@@ -17,6 +17,7 @@ SimConfig BaseConfig(SchedulerKind kind, double rate_tps) {
   c.workload.arrival_rate_tps = rate_tps;
   c.run.horizon_ms = 1'000'000;
   c.run.seed = 11;
+  c.run.trace_enabled = true;  // The history the serializability checks read.
   return c;
 }
 
@@ -27,10 +28,9 @@ TEST(EndToEndTest, SerializableSchedulersProduceSerializableHistories) {
     SimConfig c = BaseConfig(kind, 0.7);
     Machine m(c, Pattern::Experiment1(16));
     m.Run();
-    const SerializabilityResult result =
-        CheckConflictSerializability(m.schedule_log());
-    EXPECT_TRUE(result.serializable)
-        << SchedulerKindName(kind) << ": " << result.ToString();
+    const HistoryCheck check = CheckRecordedHistory(m.trace());
+    EXPECT_EQ(check.exit_code, 0)
+        << SchedulerKindName(kind) << ": " << check.text;
   }
 }
 
@@ -42,7 +42,8 @@ TEST(EndToEndTest, NodcViolatesSerializabilityUnderContention) {
   c.run.horizon_ms = 2'000'000;
   Machine m(c, Pattern::Experiment1(16));
   m.Run();
-  EXPECT_FALSE(CheckConflictSerializability(m.schedule_log()).serializable);
+  const HistoryCheck check = CheckRecordedHistory(m.trace());
+  EXPECT_EQ(check.exit_code, 1) << check.text;
 }
 
 TEST(EndToEndTest, Experiment2HotSetSerializable) {
@@ -51,8 +52,9 @@ TEST(EndToEndTest, Experiment2HotSetSerializable) {
     SimConfig c = BaseConfig(kind, 0.6);
     Machine m(c, Pattern::Experiment2());
     m.Run();
-    EXPECT_TRUE(CheckConflictSerializability(m.schedule_log()).serializable)
-        << SchedulerKindName(kind);
+    const HistoryCheck check = CheckRecordedHistory(m.trace());
+    EXPECT_EQ(check.exit_code, 0) << SchedulerKindName(kind) << ": "
+                                  << check.text;
   }
 }
 
@@ -142,8 +144,9 @@ TEST(EndToEndTest, ErrorsStillSerializable) {
     c.workload.error_sigma = 10.0;
     Machine m(c, Pattern::Experiment1(16));
     m.Run();
-    EXPECT_TRUE(CheckConflictSerializability(m.schedule_log()).serializable)
-        << SchedulerKindName(kind);
+    const HistoryCheck check = CheckRecordedHistory(m.trace());
+    EXPECT_EQ(check.exit_code, 0) << SchedulerKindName(kind) << ": "
+                                  << check.text;
   }
 }
 

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/serializability.h"
 #include "machine/machine.h"
+#include "trace/trace_analysis.h"
 
 namespace wtpgsched {
 namespace {
@@ -41,6 +41,7 @@ TEST_P(SchedulerPropertyTest, DrainsAndStaysConsistent) {
   c.workload.max_arrivals = 60;
   c.run.horizon_ms = 20'000'000;  // Generous: the workload must drain first.
   c.run.seed = param.seed;
+  c.run.trace_enabled = true;
   Machine m(c, param.hot_set ? Pattern::Experiment2()
                              : Pattern::Experiment1(16));
   const RunStats stats = m.Run();
@@ -56,9 +57,8 @@ TEST_P(SchedulerPropertyTest, DrainsAndStaysConsistent) {
 
   // Committed history is conflict-serializable for every real scheduler.
   if (param.scheduler != SchedulerKind::kNodc) {
-    const SerializabilityResult result =
-        CheckConflictSerializability(m.schedule_log());
-    EXPECT_TRUE(result.serializable) << result.ToString();
+    const HistoryCheck check = CheckRecordedHistory(m.trace());
+    EXPECT_EQ(check.exit_code, 0) << check.text;
   }
 
   // Only OPT (validation failures) and 2PL (deadlock victims) restart.

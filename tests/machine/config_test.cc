@@ -76,6 +76,17 @@ TEST(ConfigTest, FromJsonRejectsRemovedShardsKey) {
       << parsed.status().ToString();
 }
 
+// run.timeline_sample_ms was removed with the legacy timeline view (its
+// six columns are in the telemetry store, sampled by telemetry_sample_ms);
+// a stale config that still sets it must fail loudly.
+TEST(ConfigTest, FromJsonRejectsRemovedTimelineKey) {
+  const StatusOr<SimConfig> parsed =
+      SimConfig::FromJson(R"({"run": {"timeline_sample_ms": 10000}})");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("unknown key"), std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(ConfigTest, SchedulerKindNames) {
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kNodc), "NODC");
   EXPECT_STREQ(SchedulerKindName(SchedulerKind::kAsl), "ASL");

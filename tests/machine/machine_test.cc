@@ -153,16 +153,17 @@ TEST(MachineTest, BacklogProbeReflectsQueuedWork) {
   EXPECT_DOUBLE_EQ(m.BacklogObjectsForFile(0), 0.0);
 }
 
-TEST(MachineTest, ScheduleLogRecordsCommits) {
+TEST(MachineTest, TraceRecordsCommitsAndAccesses) {
   SimConfig c = SmallConfig(SchedulerKind::kLow);
   c.workload.max_arrivals = 15;
   c.run.horizon_ms = 2'000'000;
+  c.run.trace_enabled = true;
   Machine m(c, Pattern::Experiment1(16));
   const RunStats stats = m.Run();
   EXPECT_EQ(stats.completions, 15u);
-  EXPECT_EQ(m.schedule_log().committed().size(), 15u);
-  // Each Pattern-1 transaction logs 4 accesses.
-  EXPECT_EQ(m.schedule_log().accesses().size(), 60u);
+  EXPECT_EQ(m.trace().type_count(TraceEventType::kCommit), 15u);
+  // Each Pattern-1 transaction records 4 accesses.
+  EXPECT_EQ(m.trace().type_count(TraceEventType::kDataAccess), 60u);
 }
 
 TEST(MachineDeathTest, RunTwiceDies) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "analysis/serializability.h"
 #include "machine/machine.h"
+#include "trace/trace_analysis.h"
 #include "workload/pattern_parser.h"
 
 namespace wtpgsched {
@@ -26,11 +26,13 @@ TEST(MixedWorkloadMachineTest, DrainsAndSerializable) {
     c.workload.max_arrivals = 80;
     c.run.horizon_ms = 10'000'000;
     c.run.seed = 17;
+    c.run.trace_enabled = true;
     Machine m(c, ShortPlusBatchMix());
     const RunStats stats = m.Run();
     EXPECT_EQ(stats.completions, 80u) << SchedulerKindName(kind);
-    EXPECT_TRUE(CheckConflictSerializability(m.schedule_log()).serializable)
-        << SchedulerKindName(kind);
+    const HistoryCheck check = CheckRecordedHistory(m.trace());
+    EXPECT_EQ(check.exit_code, 0) << SchedulerKindName(kind) << ": "
+                                  << check.text;
   }
 }
 

@@ -117,6 +117,23 @@ TEST(ReportHtmlTest, RendersChartsAndVerdicts) {
   EXPECT_NE(html.find("low seed=7"), std::string::npos);
   EXPECT_NE(html.find("sched.active"), std::string::npos);
   EXPECT_NE(html.find("DETECTED"), std::string::npos);  // Thrashing verdict.
+  EXPECT_EQ(html.find("trace.truncated"), std::string::npos);  // Complete.
+}
+
+TEST(ReportHtmlTest, TruncatedTraceGetsBadge) {
+  ReportRun run;
+  run.title = "storm";
+  run.gauge_names = {"machine.parked"};
+  run.series = {{{10.0, 1.0}, {20.0, 2.0}}};
+  run.counters = {{"health.restart_storm", 1}, {"trace.dropped", 8}};
+  run.truncation = "inconclusive (8 of 10 events dropped; rerun with "
+                   "--trace-capacity=10)";
+  const std::string html = RenderRunReport({run});
+  const size_t badge = html.find("trace.truncated: inconclusive (8 of 10");
+  ASSERT_NE(badge, std::string::npos);
+  // Beside the health verdicts, before the charts.
+  EXPECT_GT(badge, html.find("restart storm"));
+  EXPECT_LT(badge, html.find("<details"));
 }
 
 TEST(ReportHtmlTest, NoCountersFallsBackGracefully) {

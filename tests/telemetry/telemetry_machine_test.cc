@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -114,21 +115,6 @@ TEST(TelemetryMachineTest, SamplesAtPeriodWithDerivedColumns) {
   }
 }
 
-// Legacy timeline-only runs reuse the telemetry sampler but must not grow
-// health.* counters (their RunStats JSON is pinned by older goldens).
-TEST(TelemetryMachineTest, LegacyTimelineHasNoHealthCounters) {
-  SimConfig c = BaseConfig(SchedulerKind::kAsl);
-  c.run.timeline_sample_ms = 10'000;
-  Machine machine(c, Pattern::Experiment1(c.machine.num_files));
-  const RunStats stats = machine.Run();
-  ASSERT_NE(machine.telemetry(), nullptr);
-  EXPECT_TRUE(machine.timeline().attached());
-  EXPECT_EQ(machine.timeline().size(), 20u);
-  for (const auto& [name, value] : stats.counters) {
-    EXPECT_NE(name.rfind("health.", 0), 0u) << name;
-  }
-}
-
 // The ring store bounds memory: a tiny capacity keeps only the most recent
 // window and counts the overwritten rows.
 TEST(TelemetryMachineTest, BoundedCapacityDropsOldest) {
@@ -188,6 +174,70 @@ TEST(TelemetryMachineTest, HealthCountersJobsInvariant) {
                                    .ToJson();
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("counters.health.thrashing"), std::string::npos);
+}
+
+// --- Sampling behaviour on the telemetry store (machine-level) ---
+
+SimConfig SmallNodcConfig() {
+  SimConfig c;
+  c.scheduler = SchedulerKind::kNodc;
+  c.workload.arrival_rate_tps = 0.5;
+  c.run.horizon_ms = 100'000;
+  return c;
+}
+
+TEST(MachineTimelineTest, DisabledByDefault) {
+  SimConfig c = SmallNodcConfig();
+  c.workload.max_arrivals = 5;
+  Machine m(c, Pattern::Experiment1(16));
+  m.Run();
+  EXPECT_EQ(m.telemetry(), nullptr);
+}
+
+TEST(MachineTimelineTest, SamplesAtConfiguredPeriod) {
+  SimConfig c = SmallNodcConfig();
+  c.run.telemetry_sample_ms = 10'000;
+  c.run.seed = 4;
+  Machine m(c, Pattern::Experiment1(16));
+  const RunStats stats = m.Run();
+  ASSERT_NE(m.telemetry(), nullptr);
+  const TelemetryStore& store = m.telemetry()->store();
+  ASSERT_EQ(store.size(), 10u);
+  EXPECT_EQ(store.time(0), MsToTime(10'000));
+  EXPECT_EQ(store.time(9), MsToTime(100'000));
+  // The cumulative commit gauge in the last sample matches the run.
+  const int commits = store.ColumnIndex("machine.commits");
+  ASSERT_GE(commits, 0);
+  EXPECT_EQ(store.value(9, static_cast<size_t>(commits)),
+            static_cast<double>(stats.completions));
+  const int in_flight = store.ColumnIndex("machine.in_flight");
+  ASSERT_GE(in_flight, 0);
+  double peak_in_flight = 0.0;
+  for (size_t row = 0; row < store.size(); ++row) {
+    peak_in_flight = std::max(peak_in_flight,
+                              store.value(row, static_cast<size_t>(in_flight)));
+  }
+  EXPECT_GT(peak_in_flight, 0.0);
+}
+
+TEST(MachineTimelineTest, ParkedReflectsContention) {
+  SimConfig c;
+  c.scheduler = SchedulerKind::kAsl;
+  c.workload.arrival_rate_tps = 1.2;  // Saturating: admission queue builds up.
+  c.run.horizon_ms = 500'000;
+  c.run.telemetry_sample_ms = 50'000;
+  c.run.seed = 6;
+  Machine m(c, Pattern::Experiment1(16));
+  m.Run();
+  const TelemetryStore& store = m.telemetry()->store();
+  const int parked = store.ColumnIndex("machine.parked");
+  ASSERT_GE(parked, 0);
+  double max_parked = 0.0;
+  for (size_t row = 0; row < store.size(); ++row) {
+    max_parked =
+        std::max(max_parked, store.value(row, static_cast<size_t>(parked)));
+  }
+  EXPECT_GT(max_parked, 0.0);
 }
 
 }  // namespace

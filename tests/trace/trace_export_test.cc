@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "temp_path.h"
+#include "trace/trace_analysis.h"
 #include "trace/trace_reader.h"
 
 namespace wtpgsched {
@@ -204,6 +205,11 @@ TEST(TraceExportTest, TruncatedTraceHasNoFooter) {
   ASSERT_TRUE(ReadJsonlTrace(path, &parsed).ok());
   EXPECT_FALSE(parsed.footer_seen);
   EXPECT_EQ(parsed.events.size(), 1u);
+  // No footer, no drop count: the history is incomplete all the same.
+  EXPECT_EQ(parsed.dropped, 0u);
+  EXPECT_NE(IncompleteHistoryNote(parsed.events.size(), parsed.dropped,
+                                  parsed.footer_seen),
+            "");
   std::remove(path.c_str());
 }
 

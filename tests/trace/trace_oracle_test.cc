@@ -106,6 +106,159 @@ TEST(TraceOracleTest, AbortedIncarnationsAreIgnored) {
   EXPECT_TRUE(CheckTraceSerializable(events).serializable);
 }
 
+// --- Conflict-graph cases on hand-built histories ---
+
+constexpr LockMode kS = LockMode::kShared;
+constexpr LockMode kX = LockMode::kExclusive;
+
+TEST(SerializabilityTest, EmptyLogIsSerializable) {
+  EXPECT_TRUE(CheckTraceSerializable({}).serializable);
+}
+
+TEST(SerializabilityTest, SingleTransaction) {
+  EXPECT_TRUE(
+      CheckTraceSerializable({Access(10, 1, 0, kX), Commit(20, 1)})
+          .serializable);
+}
+
+TEST(SerializabilityTest, SerialHistoryOk) {
+  const std::vector<TraceEvent> events = {
+      Access(10, 1, 0, kX), Access(20, 1, 1, kX), Access(30, 2, 0, kX),
+      Access(40, 2, 1, kX), Commit(50, 1),        Commit(60, 2),
+  };
+  EXPECT_TRUE(CheckTraceSerializable(events).serializable);
+}
+
+TEST(SerializabilityTest, DetectsWriteWriteCycle) {
+  // T1 writes A before T2, but T2 writes B before T1: cycle.
+  const std::vector<TraceEvent> events = {
+      Access(10, 1, /*file=*/0, kX), Access(15, 2, /*file=*/1, kX),
+      Access(20, 2, /*file=*/0, kX), Access(25, 1, /*file=*/1, kX),
+      Commit(30, 1),                 Commit(35, 2),
+  };
+  const SerializabilityResult result = CheckTraceSerializable(events);
+  EXPECT_FALSE(result.serializable);
+  EXPECT_GE(result.cycle.size(), 2u);
+  EXPECT_NE(result.ToString().find("NOT"), std::string::npos);
+}
+
+TEST(SerializabilityTest, SharedReadsNeverConflict) {
+  const std::vector<TraceEvent> events = {
+      Access(10, 1, 0, kS), Access(15, 2, 0, kS), Access(20, 1, 1, kS),
+      Access(5, 2, 1, kS),  Commit(30, 1),        Commit(35, 2),
+  };
+  EXPECT_TRUE(CheckTraceSerializable(events).serializable);
+}
+
+TEST(SerializabilityTest, ReadWriteCycleDetected) {
+  // T1 reads A then T2 writes A (T1 -> T2); T2 reads B then T1 writes B
+  // (T2 -> T1): cycle.
+  const std::vector<TraceEvent> events = {
+      Access(10, 1, 0, kS), Access(12, 2, 1, kS), Access(20, 2, 0, kX),
+      Access(22, 1, 1, kX), Commit(30, 1),        Commit(35, 2),
+  };
+  EXPECT_FALSE(CheckTraceSerializable(events).serializable);
+}
+
+TEST(SerializabilityTest, UncommittedAccessesIgnored) {
+  // T2 never commits: its accesses drop out, no cycle remains.
+  const std::vector<TraceEvent> events = {
+      Access(10, 1, 0, kX), Access(15, 2, 1, kX), Access(20, 2, 0, kX),
+      Access(25, 1, 1, kX), Commit(30, 1),
+  };
+  EXPECT_TRUE(CheckTraceSerializable(events).serializable);
+}
+
+TEST(SerializabilityTest, AbortedIncarnationIgnored) {
+  // T2's incarnation 0 formed a cycle, but only incarnation 1 committed.
+  const std::vector<TraceEvent> events = {
+      Access(10, 1, 0, kX),
+      Access(15, 2, 1, kX, /*incarnation=*/0),
+      Access(20, 2, 0, kX, /*incarnation=*/0),
+      Access(25, 1, 1, kX),
+      Access(40, 2, 1, kX, /*incarnation=*/1),
+      Access(45, 2, 0, kX, /*incarnation=*/1),
+      Commit(50, 1),
+      Commit(55, 2, /*incarnation=*/1),
+  };
+  EXPECT_TRUE(CheckTraceSerializable(events).serializable);
+}
+
+TEST(SerializabilityTest, EqualTimesBreakBySequence) {
+  // Equal times are ordered by position in the event stream: T1 before T2
+  // on file 0 and, recorded the other way round, T2 before T1 on file 1.
+  const std::vector<TraceEvent> one_file = {
+      Access(10, 1, 0, kX), Access(10, 2, 0, kX),
+      Commit(20, 1),        Commit(20, 2),
+  };
+  EXPECT_TRUE(CheckTraceSerializable(one_file).serializable);
+  const std::vector<TraceEvent> crossed = {
+      Access(10, 1, 0, kX), Access(10, 2, 0, kX), Access(10, 2, 1, kX),
+      Access(10, 1, 1, kX), Commit(20, 1),        Commit(20, 2),
+  };
+  EXPECT_FALSE(CheckTraceSerializable(crossed).serializable);
+  const std::vector<TraceEvent> aligned = {
+      Access(10, 1, 0, kX), Access(10, 2, 0, kX), Access(10, 1, 1, kX),
+      Access(10, 2, 1, kX), Commit(20, 1),        Commit(20, 2),
+  };
+  EXPECT_TRUE(CheckTraceSerializable(aligned).serializable);
+}
+
+TEST(SerializabilityTest, ThreeWayCycle) {
+  const std::vector<TraceEvent> events = {
+      Access(10, 1, 0, kX),  // 1 -> 2 on file 0.
+      Access(20, 2, 0, kX),
+      Access(30, 2, 1, kX),  // 2 -> 3 on file 1.
+      Access(40, 3, 1, kX),
+      Access(50, 3, 2, kX),  // 3 -> 1 on file 2.
+      Access(60, 1, 2, kX),
+      Commit(70, 1),
+      Commit(70, 2),
+      Commit(70, 3),
+  };
+  const SerializabilityResult result = CheckTraceSerializable(events);
+  EXPECT_FALSE(result.serializable);
+  EXPECT_EQ(result.cycle.size(), 3u);
+}
+
+// --- The truncation rule ---
+
+TEST(TraceOracleTest, DroppedEventsAreInconclusive) {
+  // A cycle-free window of a ring that dropped events gets no verdict.
+  const std::vector<TraceEvent> events = {Access(10, 1, 0, kX),
+                                          Commit(20, 1)};
+  const HistoryCheck check = CheckRecordedHistory(events, /*dropped=*/8);
+  EXPECT_EQ(check.exit_code, 3);
+  EXPECT_EQ(check.text,
+            "inconclusive (8 of 10 events dropped; rerun with "
+            "--trace-capacity=10)");
+  EXPECT_EQ(IncompleteHistoryNote(2, 8), check.text);
+}
+
+TEST(TraceOracleTest, MissingFooterIsInconclusive) {
+  const std::vector<TraceEvent> events = {Access(10, 1, 0, kX),
+                                          Commit(20, 1)};
+  const HistoryCheck check =
+      CheckRecordedHistory(events, /*dropped=*/0, /*footer_seen=*/false);
+  EXPECT_EQ(check.exit_code, 3);
+  EXPECT_EQ(check.text.rfind("inconclusive (no end footer", 0), 0u)
+      << check.text;
+}
+
+TEST(TraceOracleTest, CompleteHistoryGetsAVerdict) {
+  EXPECT_EQ(IncompleteHistoryNote(2, 0), "");
+  const HistoryCheck pass =
+      CheckRecordedHistory({Access(10, 1, 0, kX), Commit(20, 1)}, 0);
+  EXPECT_EQ(pass.exit_code, 0);
+  EXPECT_EQ(pass.text, "serializable");
+  const HistoryCheck cycle = CheckRecordedHistory(
+      {Access(10, 1, 0, kX), Access(15, 2, 1, kX), Access(20, 2, 0, kX),
+       Access(25, 1, 1, kX), Commit(30, 1), Commit(35, 2)},
+      0);
+  EXPECT_EQ(cycle.exit_code, 1);
+  EXPECT_EQ(cycle.text.rfind("NOT serializable; cycle: ", 0), 0u);
+}
+
 // --- Full machine runs with tracing enabled ---
 
 SimConfig TracedConfig(SchedulerKind kind) {
@@ -191,6 +344,28 @@ TEST(TraceOracleTest, RunStatsCountersIncludeTraceAndSchedulerCounts) {
   counter("low.deadlock_delays");
   // The legacy fields mirror the registry.
   EXPECT_EQ(counter("blocked"), stats.blocked);
+}
+
+// A NODC history with a cycle, recorded into a ring too small to hold it,
+// must come out inconclusive — never "serializable".
+TEST(TraceOracleTest, OverflowedRingNeverPasses) {
+  SimConfig c = TracedConfig(SchedulerKind::kNodc);
+  c.workload.arrival_rate_tps = 1.2;
+  c.workload.max_arrivals = 0;
+  c.run.horizon_ms = 300'000;
+  c.run.seed = 1;
+  Machine full(c, Pattern::Experiment1(16));
+  full.Run();
+  ASSERT_EQ(full.trace().dropped(), 0u);
+  EXPECT_EQ(CheckRecordedHistory(full.trace()).exit_code, 1);
+
+  c.run.trace_capacity = 500;
+  Machine ring(c, Pattern::Experiment1(16));
+  ring.Run();
+  const HistoryCheck check = CheckRecordedHistory(ring.trace());
+  EXPECT_EQ(check.exit_code, 3) << check.text;
+  EXPECT_EQ(ring.trace().total_recorded(),
+            full.trace().total_recorded());
 }
 
 TEST(TraceOracleTest, TracingDisabledLeavesNoTraceCounters) {

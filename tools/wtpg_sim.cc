@@ -9,14 +9,18 @@
 //   wtpg_sim --scheduler=c2pl --mpl=8 --rate=1.2
 //            --pattern="x(F1:1) -> x(F2:5) -> w(F1:0.2) -> w(F2:1)"
 //   wtpg_sim --scheduler=2pl --verify   # serializability check at the end
+//
+// Exit codes: 0 ok, 1 a write failed or --verify found a cycle, 2 bad
+// flags or configuration, 3 --verify inconclusive (the trace ring dropped
+// events; rerun with the --trace-capacity the message names).
 
 #include <cstdio>
 
-#include "analysis/serializability.h"
 #include "driver/sim_run.h"
 #include "fault/fault_flags.h"
 #include "machine/machine.h"
 #include "telemetry/telemetry_export.h"
+#include "trace/trace_analysis.h"
 #include "trace/trace_export.h"
 #include "util/common_flags.h"
 #include "util/logging.h"
@@ -53,10 +57,10 @@ int main(int argc, char** argv) {
                 "(implies --tail)");
   flags.AddInt("low-k", 2, "LOW's conflict bound K");
   flags.AddInt("max-arrivals", 0, "stop arrivals after N transactions (0 = off)");
-  flags.AddBool("verify", false, "check conflict-serializability at the end");
-  flags.AddString("timeline-csv", "",
-                  "sample system state every --timeline-ms into this CSV");
-  flags.AddDouble("timeline-ms", 10'000, "timeline sampling period (ms)");
+  flags.AddBool("verify", false,
+                "check conflict-serializability of the recorded event trace "
+                "at the end (records at --trace-capacity; exit 1 on a cycle, "
+                "3 when the ring dropped events)");
   flags.AddString("dot-out", "",
                   "dump the scheduler's WTPG as Graphviz DOT to this file");
   flags.AddDouble("dot-at-ms", 100'000,
@@ -119,18 +123,20 @@ int main(int argc, char** argv) {
     config.run.tail_sketch = true;
   }
   ApplyFaultFlags(flags, &config.fault);
-  if (!flags.GetString("timeline-csv").empty()) {
-    config.run.timeline_sample_ms = flags.GetDouble("timeline-ms");
-  }
   const std::string trace_jsonl = flags.GetString("trace-jsonl");
   const std::string trace_chrome = flags.GetString("trace-chrome");
-  if (!trace_jsonl.empty() || !trace_chrome.empty()) {
+  const bool verify = flags.GetBool("verify");
+  if (!trace_jsonl.empty() || !trace_chrome.empty() || verify) {
+    if (flags.GetInt("trace-capacity") < 0) {
+      std::fprintf(stderr, "--trace-capacity must be > 0\n");
+      return 2;
+    }
     config.run.trace_enabled = true;
     config.run.trace_capacity =
         static_cast<uint64_t>(flags.GetInt("trace-capacity"));
   }
-  // Requesting a telemetry artifact without --telemetry-ms samples at the
-  // timeline default (10 s).
+  // Requesting a telemetry artifact without --telemetry-ms samples every
+  // 10 s.
   const std::string telemetry_csv = flags.GetString("telemetry-csv");
   const std::string telemetry_jsonl = flags.GetString("telemetry-jsonl");
   if (flags.GetDouble("telemetry-ms") > 0.0 || !telemetry_csv.empty() ||
@@ -167,17 +173,16 @@ int main(int argc, char** argv) {
 
   // Multi-seed aggregate mode: fan the replicas across workers and report
   // the cross-seed averages. The per-run artifacts below (trace, DOT
-  // snapshot, timeline, serializability log) are single-run concepts.
+  // snapshot, telemetry, serializability verdict) are single-run concepts.
   const int num_seeds = static_cast<int>(flags.GetInt("seeds"));
   if (num_seeds > 1) {
     if (!trace_jsonl.empty() || !trace_chrome.empty() ||
-        !flags.GetString("dot-out").empty() ||
-        !flags.GetString("timeline-csv").empty() || !telemetry_csv.empty() ||
-        !telemetry_jsonl.empty() || flags.GetBool("verify")) {
+        !flags.GetString("dot-out").empty() || !telemetry_csv.empty() ||
+        !telemetry_jsonl.empty() || verify) {
       std::fprintf(stderr,
                    "--seeds > 1 is incompatible with --trace-*/--dot-out/"
-                   "--timeline-csv/--telemetry-csv/--telemetry-jsonl/"
-                   "--verify (single-run outputs)\n");
+                   "--telemetry-csv/--telemetry-jsonl/--verify (single-run "
+                   "outputs)\n");
       return 2;
     }
     const AggregateResult agg =
@@ -225,11 +230,10 @@ int main(int argc, char** argv) {
   const RunStats stats = machine.Run();
 
   // Sampled gauge series ride along inside the trace files as counter
-  // tracks; legacy timeline-only runs (telemetry_sample_ms == 0) keep the
-  // trace byte-identical.
+  // tracks.
   std::vector<GaugeTrack> gauge_tracks;
   const std::vector<GaugeTrack>* gauges = nullptr;
-  if (machine.telemetry() != nullptr && config.run.telemetry_sample_ms > 0.0) {
+  if (machine.telemetry() != nullptr) {
     gauge_tracks = ToGaugeTracks(machine.telemetry()->store());
     gauges = &gauge_tracks;
   }
@@ -299,16 +303,19 @@ int main(int argc, char** argv) {
                 flags.GetDouble("dot-at-ms"));
   }
 
+  // The verdict behind --verify: the machine's event trace is the run's
+  // one record of its history.
+  HistoryCheck check;
+  if (verify) {
+    check = CheckRecordedHistory(machine.trace());
+  }
+
   if (flags.GetBool("json")) {
     std::printf("%s\n", stats.ToJson().c_str());
-    if (flags.GetBool("verify")) {
-      const SerializabilityResult result =
-          CheckConflictSerializability(machine.schedule_log());
-      if (!result.serializable && config.scheduler != SchedulerKind::kNodc) {
-        return 1;
-      }
+    if (verify) {
+      std::fprintf(stderr, "serializability    %s\n", check.text.c_str());
     }
-    return 0;
+    return check.exit_code;
   }
 
   std::printf("scheduler          %s\n", machine.scheduler().name().c_str());
@@ -348,25 +355,8 @@ int main(int argc, char** argv) {
               100.0 * stats.mean_dpn_utilization,
               100.0 * stats.max_dpn_utilization);
 
-  if (!flags.GetString("timeline-csv").empty()) {
-    const Status written =
-        machine.timeline().WriteCsv(flags.GetString("timeline-csv"));
-    if (!written.ok()) {
-      std::fprintf(stderr, "timeline: %s\n", written.ToString().c_str());
-      return 1;
-    }
-    std::printf("timeline           %s (%zu samples)\n",
-                flags.GetString("timeline-csv").c_str(),
-                machine.timeline().size());
+  if (verify) {
+    std::printf("serializability    %s\n", check.text.c_str());
   }
-
-  if (flags.GetBool("verify")) {
-    const SerializabilityResult result =
-        CheckConflictSerializability(machine.schedule_log());
-    std::printf("serializability    %s\n", result.ToString().c_str());
-    if (!result.serializable && config.scheduler != SchedulerKind::kNodc) {
-      return 1;
-    }
-  }
-  return 0;
+  return check.exit_code;
 }

@@ -10,8 +10,9 @@
 //       Post-hoc serialization-order check: rebuilds the conflict graph
 //       from the traced data accesses and verifies acyclicity. Exits 0 when
 //       serializable, 1 when a cycle is found (expected only for NODC), and
-//       3 ("inconclusive") when the recording ring dropped events: a
-//       truncated history can hide a cycle, so it yields no verdict.
+//       3 ("inconclusive") when the recording ring dropped events or the
+//       file has no end footer: a truncated history can hide a cycle, so it
+//       yields no verdict.
 //
 //   wtpg-trace perfetto <trace.jsonl> <out.json>
 //       Converts the trace to Chrome trace-event format, loadable in
@@ -20,8 +21,9 @@
 //
 //   wtpg-trace report <trace.jsonl> [more.jsonl ...] <out.html>
 //       Renders a self-contained HTML run-health report (inline SVG
-//       time-series charts plus thrashing/convoy/restart-storm verdicts)
-//       for one or more runs recorded with --telemetry-ms.
+//       time-series charts plus thrashing/convoy/restart-storm verdicts,
+//       and a trace.truncated badge for an incomplete trace) for one or
+//       more runs recorded with --telemetry-ms.
 
 #include <algorithm>
 #include <cstdio>
@@ -56,13 +58,10 @@ int LoadTrace(const std::string& path, ParsedTrace* trace) {
   return 0;
 }
 
-// Prints the inconclusive verdict for a trace whose ring dropped events and
-// returns true; returns false (printing nothing) for a complete trace.
-bool PrintIfTruncated(const ParsedTrace& trace) {
-  if (trace.dropped == 0) return false;
-  std::printf("serializability    inconclusive (%llu events dropped)\n",
-              static_cast<unsigned long long>(trace.dropped));
-  return true;
+// IncompleteHistoryNote for a parsed trace file: "" when it is complete.
+std::string IncompleteNote(const ParsedTrace& trace) {
+  return IncompleteHistoryNote(trace.events.size(), trace.dropped,
+                               trace.footer_seen);
 }
 
 double Pct(double part, double whole) {
@@ -98,7 +97,9 @@ int RunSummary(const std::string& path, int top) {
               summary.mean_execution_s, Pct(summary.mean_execution_s, mean));
   std::printf("  other (CN etc.)  %.3f s (%.1f%%)\n", summary.mean_other_s,
               Pct(summary.mean_other_s, mean));
-  PrintIfTruncated(trace);
+  if (const std::string note = IncompleteNote(trace); !note.empty()) {
+    std::printf("serializability    %s\n", note.c_str());
+  }
 
   std::printf("event counts:\n");
   for (const auto& [name, count] : summary.event_counts) {
@@ -131,10 +132,10 @@ int RunSummary(const std::string& path, int top) {
 int RunCheckSerializable(const std::string& path) {
   ParsedTrace trace;
   if (int rc = LoadTrace(path, &trace); rc != 0) return rc;
-  if (PrintIfTruncated(trace)) return 3;
-  const SerializabilityResult result = CheckTraceSerializable(trace.events);
-  std::printf("serializability    %s\n", result.ToString().c_str());
-  return result.serializable ? 0 : 1;
+  const HistoryCheck check =
+      CheckRecordedHistory(trace.events, trace.dropped, trace.footer_seen);
+  std::printf("serializability    %s\n", check.text.c_str());
+  return check.exit_code;
 }
 
 // Regroups a parsed trace's flat gauge-sample list into per-gauge tracks
@@ -190,6 +191,7 @@ int RunReport(const std::vector<std::string>& inputs, const std::string& out) {
           TimeToSeconds(sample.time), sample.value);
     }
     run.counters = trace.footer_counters;
+    run.truncation = IncompleteNote(trace);
     runs.push_back(std::move(run));
   }
   const Status written = WriteRunReport(runs, out);
