@@ -13,12 +13,13 @@
 // long-horizon/large-universe points feasible; the sketch is differentially
 // validated against the exact histogram in tests/metrics.
 //
-// Knobs (on top of the usual WTPG_* bench options):
-//   WTPG_OW_FILES      universe size            (default 1,000,000)
-//   WTPG_OW_THETA      Zipf theta               (default 0.9)
-//   WTPG_OW_SHARE      interactive arrival share (default 0.9)
-//   WTPG_OW_RATE       arrival rate, TPS        (default 1.0)
-//   WTPG_OW_BATCH_MPL  gated-pass batch MPL     (default 2)
+// Knobs (on top of the usual WTPG_* bench options; a malformed or
+// out-of-range value exits 2):
+//   WTPG_OW_FILES      universe size, >= 2              (default 1,000,000)
+//   WTPG_OW_THETA      Zipf theta, >= 0                 (default 0.9)
+//   WTPG_OW_SHARE      interactive share, [0.001, 0.999] (default 0.9)
+//   WTPG_OW_RATE       arrival rate, TPS, >= 0.001      (default 1.0)
+//   WTPG_OW_BATCH_MPL  gated-pass batch MPL, >= 0       (default 2)
 //   WTPG_OPENWORLD_BIG=1  adds a 10M-file bounded-memory proof point
 //                         (one scheduler, short horizon; ~0.5 GB RSS from
 //                         the dense per-file tables, constant-size metrics)
@@ -35,22 +36,6 @@
 using namespace wtpgsched;
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  int64_t parsed = 0;
-  if (!ParseInt64(value, &parsed)) return fallback;
-  return static_cast<int>(parsed);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  double parsed = 0.0;
-  if (!ParseDouble(value, &parsed)) return fallback;
-  return parsed;
-}
 
 uint64_t CounterOr0(const AggregateResult& result, const std::string& name) {
   for (const auto& [key, value] : result.counters) {
@@ -76,11 +61,12 @@ AggregateResult::ClassAgg ClassOrEmpty(const AggregateResult& result,
 int main() {
   const BenchOptions opts = GetBenchOptions();
   OpenWorldSpec spec;
-  spec.num_files = EnvInt("WTPG_OW_FILES", spec.num_files);
-  spec.zipf_theta = EnvDouble("WTPG_OW_THETA", spec.zipf_theta);
-  spec.interactive_share = EnvDouble("WTPG_OW_SHARE", spec.interactive_share);
-  const double rate = EnvDouble("WTPG_OW_RATE", 1.0);
-  const int batch_mpl = EnvInt("WTPG_OW_BATCH_MPL", 2);
+  spec.num_files = EnvInt("WTPG_OW_FILES", spec.num_files, 2);
+  spec.zipf_theta = EnvDouble("WTPG_OW_THETA", spec.zipf_theta, 0.0);
+  spec.interactive_share =
+      EnvDouble("WTPG_OW_SHARE", spec.interactive_share, 0.001, 0.999);
+  const double rate = EnvDouble("WTPG_OW_RATE", 1.0, 0.001);
+  const int batch_mpl = EnvInt("WTPG_OW_BATCH_MPL", 2, 0);
 
   PrintBanner(StrCat(
       "Open-world tier: interactive tail vs. batch interference "

@@ -1,44 +1,33 @@
-// micro_decision_cache — hit-rate and lookup-cost benchmark of the decision
+// micro_decision_cache — hit-rate and throughput benchmark of the decision
 // cache layer (DESIGN.md section 12).
 //
-// Three sections:
-//   1. lookup: nanoseconds per operation for a decision-cache hit
-//      (EvalCache / CycleCache fingerprint lookups) against the graph work
-//      a hit replaces — a reference-mode WouldCycle reverse BFS and a full
-//      EvaluateGrant speculation (orient + critical path + rollback).
-//   2. hit_rate: one contended end-to-end replica per WTPG scheduler,
-//      reporting cache hits/misses, uncached graph evaluations, and the
+// Two sections, from one contended end-to-end replica per WTPG scheduler
+// (best of reps):
+//   1. hit_rate: cache hits/misses, uncached graph evaluations, and the
 //      machine-side retry/shortcut counters the caches feed off.
-//   3. end_to_end: events/sec per scheduler with the caches on versus
-//      WTPG_REFERENCE_DECISIONS=1 (every fast path switched back to the
-//      historical implementation), best-of-reps on both sides.
+//   2. end_to_end: events/sec per scheduler.
 //
 // Results land in BENCH_decision_cache.json and a CSV for per-PR tracking;
 // --smoke shrinks iteration counts for the perf-labeled ctest target. The
-// smoke run also enforces the PR's acceptance floor — cached C2PL at least
+// smoke run also enforces the PR's acceptance floor — r C2PL at least
 // 5x its pre-cache 28,371 events/s — except under sanitizers, where
 // absolute numbers are meaningless and the run doubles as a stress test.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "driver/report.h"
 #include "machine/config.h"
 #include "machine/machine.h"
-#include "sched/decision_cache.h"
 #include "sched/scheduler.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 #include "workload/pattern.h"
-#include "wtpg/wtpg.h"
 
 using namespace wtpgsched;
 
@@ -66,57 +55,6 @@ double Seconds(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
-struct LookupResult {
-  std::string name;
-  uint64_t ops = 0;
-  double seconds = 0.0;
-  double ns_per_op = 0.0;
-};
-
-// Best-of-reps: noise only ever adds time, so the fastest repetition is the
-// least-noisy estimate.
-template <typename Fn>
-LookupResult MeasureLookup(const std::string& name, int reps, Fn&& fn) {
-  LookupResult r;
-  r.name = name;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const uint64_t ops = fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    WTPG_CHECK_GT(ops, 0u);
-    const double seconds = Seconds(t0, t1);
-    const double ns = seconds / static_cast<double>(ops) * 1e9;
-    if (rep == 0 || ns < r.ns_per_op) {
-      r.ops = ops;
-      r.seconds = seconds;
-      r.ns_per_op = ns;
-    }
-  }
-  return r;
-}
-
-// A 64-node oriented chain plus a tail node holding an unoriented conflict
-// edge to every chain member — deep enough that the reverse BFS and the
-// critical-path DP cost what they cost mid-run, and exactly the shape
-// where a fingerprint hit saves the most. The all-members tail keeps a
-// probe/grant target legal from any rotating requester.
-constexpr TxnId kChainLen = 64;
-
-Wtpg BuildChain(bool reference_decisions) {
-  Wtpg g(/*reference_speculation=*/false, reference_decisions);
-  for (TxnId i = 1; i <= kChainLen + 1; ++i) g.AddNode(i, 1.0);
-  for (TxnId i = 1; i < kChainLen; ++i) {
-    g.AddConflictEdge(i, i + 1, 1.0, 1.0);
-  }
-  for (TxnId i = 1; i <= kChainLen; ++i) {
-    g.AddConflictEdge(i, kChainLen + 1, 1.0, 1.0);
-  }
-  for (TxnId i = 1; i < kChainLen; ++i) {
-    WTPG_CHECK(g.TryOrient(i, i + 1));
-  }
-  return g;
-}
-
 struct EndToEndResult {
   std::string scheduler;
   uint64_t events = 0;
@@ -132,12 +70,8 @@ struct EndToEndResult {
 
 // One replica at the contended Fig.-8 operating point (see
 // micro_sim_core.cc for why the arrival cap, not the horizon, bounds the
-// work). `reference` flips WTPG_REFERENCE_DECISIONS for the machine's
-// whole lifetime — the env is re-read per Wtpg construction.
-EndToEndResult RunEndToEnd(SchedulerKind kind, bool reference,
-                           uint64_t max_arrivals) {
-  ::setenv("WTPG_REFERENCE_DECISIONS", reference ? "1" : "0",
-           /*overwrite=*/1);
+// work).
+EndToEndResult RunEndToEnd(SchedulerKind kind, uint64_t max_arrivals) {
   SimConfig config;
   config.scheduler = kind;
   config.run.horizon_ms = 100'000'000;
@@ -147,7 +81,6 @@ EndToEndResult RunEndToEnd(SchedulerKind kind, bool reference,
   const auto t0 = std::chrono::steady_clock::now();
   const RunStats stats = machine.Run();
   const auto t1 = std::chrono::steady_clock::now();
-  ::unsetenv("WTPG_REFERENCE_DECISIONS");
   EndToEndResult r;
   r.scheduler = SchedulerKindName(kind);
   r.events = machine.simulator().events_executed();
@@ -165,11 +98,12 @@ EndToEndResult RunEndToEnd(SchedulerKind kind, bool reference,
   return r;
 }
 
-EndToEndResult BestOf(SchedulerKind kind, bool reference,
-                      uint64_t max_arrivals, int reps) {
+// Best-of-reps: noise only ever adds time, so the fastest repetition is the
+// least-noisy estimate.
+EndToEndResult BestOf(SchedulerKind kind, uint64_t max_arrivals, int reps) {
   EndToEndResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    EndToEndResult r = RunEndToEnd(kind, reference, max_arrivals);
+    EndToEndResult r = RunEndToEnd(kind, max_arrivals);
     if (rep == 0 || r.events_per_s > best.events_per_s) best = r;
   }
   return best;
@@ -204,8 +138,6 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = flags.GetBool("smoke");
-  const int lookup_iters = smoke ? 200'000 : 20'000'000;
-  const int graph_iters = smoke ? 20'000 : 400'000;
   const int reps = smoke ? 2 : 5;
   const uint64_t max_arrivals = smoke ? 600 : 5'000;
 
@@ -217,140 +149,50 @@ int main(int argc, char** argv) {
   }
   csv.WriteHeader({"section", "name", "ops", "seconds", "value", "extra"});
 
-  // -------------------------------------------------------------- lookup --
-  // What a hit costs vs what it saves. The cached fingerprints rotate over
-  // the chain's transactions so the lookups exercise the map, not one hot
-  // entry; the graph-work loops rotate the requester so the per-slot probe
-  // cache cannot short-circuit the measurement.
-  const std::vector<TxnId> tail_target = {kChainLen + 1};
-  std::vector<LookupResult> lookups;
-
-  lookups.push_back(MeasureLookup("cycle_cache_hit", reps, [&] {
-    CycleCache cache;
-    for (TxnId t = 1; t <= kChainLen; ++t) {
-      cache.Store(t, tail_target, /*cycle=*/false, /*growth=*/7,
-                  /*shrink=*/3);
-    }
-    uint64_t found = 0;
-    for (int i = 0; i < lookup_iters; ++i) {
-      const TxnId t = static_cast<TxnId>(i % kChainLen) + 1;
-      if (cache.Lookup(t, tail_target, 7, 3) != nullptr) ++found;
-    }
-    WTPG_CHECK_EQ(found, static_cast<uint64_t>(lookup_iters));
-    return found;
-  }));
-
-  lookups.push_back(MeasureLookup("eval_cache_hit", reps, [&] {
-    EvalCache cache;
-    for (TxnId t = 1; t <= kChainLen; ++t) {
-      cache.Store(t, tail_target, /*version=*/11, /*weights=*/5).value_a =
-          1.0;
-    }
-    uint64_t found = 0;
-    for (int i = 0; i < lookup_iters; ++i) {
-      const TxnId t = static_cast<TxnId>(i % kChainLen) + 1;
-      if (cache.Lookup(t, tail_target, 11, 5) != nullptr) ++found;
-    }
-    WTPG_CHECK_EQ(found, static_cast<uint64_t>(lookup_iters));
-    return found;
-  }));
-
-  lookups.push_back(MeasureLookup("wouldcycle_reference", reps, [&] {
-    Wtpg g = BuildChain(/*reference_decisions=*/true);
-    uint64_t falses = 0;
-    for (int i = 0; i < graph_iters; ++i) {
-      const TxnId from = static_cast<TxnId>(i % kChainLen) + 1;
-      if (!g.WouldCycle(from, tail_target)) ++falses;
-    }
-    WTPG_CHECK_EQ(falses, static_cast<uint64_t>(graph_iters));
-    return falses;
-  }));
-
-  lookups.push_back(MeasureLookup("evaluate_grant", reps, [&] {
-    Wtpg g = BuildChain(/*reference_decisions=*/false);
-    uint64_t evals = 0;
-    for (int i = 0; i < graph_iters; ++i) {
-      const TxnId from = static_cast<TxnId>(i % kChainLen) + 1;
-      if (EvaluateGrant(g, from, {kChainLen + 1}) >= 0.0) ++evals;
-    }
-    WTPG_CHECK_EQ(evals, static_cast<uint64_t>(graph_iters));
-    return evals;
-  }));
-
-  TablePrinter lookup_table({"operation", "ops", "ns/op"});
-  std::string lookup_json;
-  for (const LookupResult& r : lookups) {
-    lookup_table.AddRow({r.name, StrCat(r.ops), FormatDouble(r.ns_per_op, 1)});
-    JsonWriter row;
-    row.Add("name", r.name)
-        .Add("ops", r.ops)
-        .Add("seconds", r.seconds)
-        .Add("ns_per_op", r.ns_per_op);
-    if (!lookup_json.empty()) lookup_json += ',';
-    lookup_json += row.ToString();
-    csv.WriteRow({"lookup", r.name, StrCat(r.ops), FormatDouble(r.seconds, 4),
-                  FormatDouble(r.ns_per_op, 2), ""});
-  }
-  lookup_table.Print();
-
-  // ---------------------------------------------- hit_rate + end_to_end --
   constexpr SchedulerKind kKinds[] = {SchedulerKind::kTwoPl,
                                       SchedulerKind::kC2pl,
                                       SchedulerKind::kGow, SchedulerKind::kLow};
-  TablePrinter e2e_table({"scheduler", "cached ev/s", "reference ev/s",
-                          "speedup", "hit rate", "evals", "retries"});
+  TablePrinter e2e_table(
+      {"scheduler", "events/s", "hit rate", "evals", "retries"});
   std::string hit_json;
   std::string e2e_json;
   double c2pl_cached_events_per_s = 0.0;
   for (SchedulerKind kind : kKinds) {
-    const EndToEndResult cached =
-        BestOf(kind, /*reference=*/false, max_arrivals, reps);
-    const EndToEndResult reference =
-        BestOf(kind, /*reference=*/true, max_arrivals, reps);
-    WTPG_CHECK_EQ(cached.completions, reference.completions)
-        << cached.scheduler << ": reference mode changed the simulation";
+    const EndToEndResult r = BestOf(kind, max_arrivals, reps);
     if (kind == SchedulerKind::kC2pl) {
-      c2pl_cached_events_per_s = cached.events_per_s;
+      c2pl_cached_events_per_s = r.events_per_s;
     }
-    const double speedup = reference.events_per_s > 0.0
-                               ? cached.events_per_s / reference.events_per_s
-                               : 0.0;
-    e2e_table.AddRow({cached.scheduler, FormatDouble(cached.events_per_s, 0),
-                      FormatDouble(reference.events_per_s, 0),
-                      FormatDouble(speedup, 2),
-                      FormatDouble(HitRate(cached), 3),
-                      StrCat(cached.wtpg_evals),
-                      StrCat(cached.decision_retries)});
+    e2e_table.AddRow({r.scheduler, FormatDouble(r.events_per_s, 0),
+                      FormatDouble(HitRate(r), 3),
+                      StrCat(r.wtpg_evals),
+                      StrCat(r.decision_retries)});
     JsonWriter hit_row;
-    hit_row.Add("scheduler", cached.scheduler)
-        .Add("cache_hits", cached.cache_hits)
-        .Add("cache_misses", cached.cache_misses)
-        .Add("hit_rate", HitRate(cached))
-        .Add("wtpg_evals", cached.wtpg_evals)
-        .Add("decision_retries", cached.decision_retries)
-        .Add("block_shortcuts", cached.block_shortcuts);
+    hit_row.Add("scheduler", r.scheduler)
+        .Add("cache_hits", r.cache_hits)
+        .Add("cache_misses", r.cache_misses)
+        .Add("hit_rate", HitRate(r))
+        .Add("wtpg_evals", r.wtpg_evals)
+        .Add("decision_retries", r.decision_retries)
+        .Add("block_shortcuts", r.block_shortcuts);
     if (!hit_json.empty()) hit_json += ',';
     hit_json += hit_row.ToString();
-    csv.WriteRow({"hit_rate", cached.scheduler, StrCat(cached.cache_hits),
-                  "", FormatDouble(HitRate(cached), 4),
-                  StrCat(cached.wtpg_evals)});
+    csv.WriteRow({"hit_rate", r.scheduler, StrCat(r.cache_hits),
+                  "", FormatDouble(HitRate(r), 4),
+                  StrCat(r.wtpg_evals)});
     JsonWriter e2e_row;
-    e2e_row.Add("scheduler", cached.scheduler)
-        .Add("events", cached.events)
-        .Add("cached_events_per_s", cached.events_per_s)
-        .Add("reference_events_per_s", reference.events_per_s)
-        .Add("speedup_vs_reference", speedup)
-        .Add("completions", cached.completions);
+    e2e_row.Add("scheduler", r.scheduler)
+        .Add("events", r.events)
+        .Add("cached_events_per_s", r.events_per_s)
+        .Add("completions", r.completions);
     if (!e2e_json.empty()) e2e_json += ',';
     e2e_json += e2e_row.ToString();
-    csv.WriteRow({"end_to_end", cached.scheduler, StrCat(cached.events),
-                  FormatDouble(cached.seconds, 4),
-                  FormatDouble(cached.events_per_s, 0),
-                  FormatDouble(speedup, 3)});
+    csv.WriteRow({"end_to_end", r.scheduler, StrCat(r.events),
+                  FormatDouble(r.seconds, 4),
+                  FormatDouble(r.events_per_s, 0), ""});
   }
   e2e_table.Print();
 
-  // Acceptance floor: cached C2PL at least 5x the pre-cache baseline.
+  // Acceptance floor: r C2PL at least 5x the pre-cache baseline.
   const double c2pl_floor = 5.0 * kC2plBaselineEventsPerS;
   const bool sanitized = WTPG_BENCH_SANITIZED != 0;
   const bool floor_ok = sanitized || c2pl_cached_events_per_s >= c2pl_floor;
@@ -365,7 +207,6 @@ int main(int argc, char** argv) {
       .Add("c2pl_baseline_events_per_s", kC2plBaselineEventsPerS)
       .Add("c2pl_cached_events_per_s", c2pl_cached_events_per_s)
       .Add("c2pl_floor_events_per_s", c2pl_floor)
-      .AddRaw("lookup", StrCat("[", lookup_json, "]"))
       .AddRaw("hit_rate", StrCat("[", hit_json, "]"))
       .AddRaw("end_to_end", StrCat("[", e2e_json, "]"));
   const std::string out_path = flags.GetString("out-json");

@@ -1,26 +1,20 @@
-// micro_sim_core — before/after microbenchmark of the simulator kernel.
+// micro_sim_core — microbenchmark of the simulator kernel.
 //
-// The pre-rewrite EventQueue (std::function callbacks keyed by id in an
-// unordered_map, tombstoned cancels, wholesale compaction) is embedded below
-// verbatim as LegacyEventQueue, so the "before" numbers are measured live on
-// the same machine rather than trusted from an old file. Four queue
-// workloads (schedule+pop at the measured-realistic queue size, a deep-heap
-// variant, cancel-heavy, steady-state churn) run against
-// both implementations; then one short end-to-end replica per scheduler
-// reports whole-kernel events/sec. Results land in BENCH_sim_core.json and a
+// Four EventQueue workloads (schedule+pop at the measured-realistic queue
+// size, a deep-heap variant, cancel-heavy, steady-state churn), then one
+// short end-to-end replica per scheduler reporting whole-kernel events/sec.
+// The numbers of the pre-rewrite queue (std::function callbacks keyed by id
+// in an unordered_map, tombstoned cancels) are kept in
+// results/BENCH_trajectory.json. Results land in BENCH_sim_core.json and a
 // CSV for per-PR tracking; --smoke shrinks the iteration counts to seconds
 // for the perf-labeled ctest target (also run under ASan, where absolute
 // numbers are meaningless but the workloads double as a stress test).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "driver/report.h"
@@ -40,105 +34,14 @@ using namespace wtpgsched;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// The pre-rewrite event queue, embedded as the recorded baseline. Identical
-// to src/sim/event_queue.{h,cc} before the indexed-heap rewrite (commit
-// history has the original); only the class name differs.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-  using EventId = uint64_t;
-
-  struct Event {
-    SimTime time;
-    EventId id;
-    Callback callback;
-  };
-
-  EventId Schedule(SimTime at, Callback cb) {
-    const EventId id = next_id_++;
-    heap_.push_back(Entry{at, id});
-    std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    callbacks_.emplace(id, std::move(cb));
-    return id;
-  }
-
-  bool Cancel(EventId id) {
-    if (callbacks_.erase(id) == 0) return false;
-    ++tombstones_;
-    MaybeCompact();
-    return true;
-  }
-
-  bool empty() const { return callbacks_.empty(); }
-  size_t size() const { return callbacks_.size(); }
-
-  SimTime NextTime() {
-    SkipCancelled();
-    return heap_.empty() ? kSimTimeMax : heap_.front().time;
-  }
-
-  Event Pop() {
-    SkipCancelled();
-    WTPG_CHECK(!heap_.empty()) << "Pop() on empty LegacyEventQueue";
-    const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    heap_.pop_back();
-    auto it = callbacks_.find(top.id);
-    Event event{top.time, top.id, std::move(it->second)};
-    callbacks_.erase(it);
-    return event;
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    EventId id;
-  };
-  struct EntryGreater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
-
-  void SkipCancelled() {
-    while (!heap_.empty() &&
-           callbacks_.find(heap_.front().id) == callbacks_.end()) {
-      std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-      heap_.pop_back();
-      --tombstones_;
-    }
-  }
-
-  void MaybeCompact() {
-    if (tombstones_ * 2 <= callbacks_.size()) return;
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [this](const Entry& e) {
-                                 return callbacks_.find(e.id) ==
-                                        callbacks_.end();
-                               }),
-                heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    tombstones_ = 0;
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
-  size_t tombstones_ = 0;
-  EventId next_id_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Queue workloads, templated over the queue type. Every workload returns the
-// number of queue operations performed; callbacks bump a sink so neither
-// implementation can dead-strip the invocation.
+// Queue workloads. Every workload returns the number of queue operations
+// performed; callbacks bump a sink so the invocation cannot be dead-stripped.
 //
 // The capture is sized like the real call sites (machine pointer, txn id,
-// step, node id — ~40 bytes; see src/machine/machine.cc): inside the dense
+// step, node id — ~40 bytes; see src/machine/machine.cc): inside the
 // queue's 48-byte inline budget, beyond std::function's small-buffer
-// threshold. A token capture would hide exactly the allocation the rewrite
-// removes.
+// threshold. A token capture would hide the allocation the inline budget
+// avoids.
 struct Payload {
   uint64_t* sink;
   uint64_t txn;
@@ -163,21 +66,16 @@ double Seconds(std::chrono::steady_clock::time_point start,
 
 // Every drain below mirrors Simulator::Step exactly: NextTime() (the
 // horizon check the simulator makes before every event), then Pop(), then
-// the callback. For the legacy queue NextTime() is not free — it runs
-// SkipCancelled, a hash find of the top id per event — so skipping it
-// would flatter the baseline with an access pattern the simulator never
-// had.
-template <typename Q>
-void Drain(Q& q) {
+// the callback.
+void Drain(EventQueue& q) {
   while (q.NextTime() != kSimTimeMax) {
     q.Pop().callback();
   }
 }
 
 // Batches of schedules at random times (many FIFO ties) drained by pops.
-template <typename Q>
 uint64_t RunSchedulePop(int rounds, int batch, uint64_t* sink) {
-  Q q;
+  EventQueue q;
   Rng rng(20260807);
   uint64_t ops = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -193,11 +91,10 @@ uint64_t RunSchedulePop(int rounds, int batch, uint64_t* sink) {
 
 // Batches where half the events are cancelled before the drain — the
 // workload the tombstone scheme paid for (timeouts cancelled on completion).
-template <typename Q>
 uint64_t RunCancelHeavy(int rounds, int batch, uint64_t* sink) {
-  Q q;
+  EventQueue q;
   Rng rng(20260808);
-  std::vector<typename Q::EventId> ids;
+  std::vector<EventQueue::EventId> ids;
   uint64_t ops = 0;
   for (int r = 0; r < rounds; ++r) {
     ids.clear();
@@ -218,9 +115,8 @@ uint64_t RunCancelHeavy(int rounds, int batch, uint64_t* sink) {
 // Steady state: a resident set of pending events, each pop scheduling a
 // successor — the shape of a running simulation (server completions,
 // arrivals, timeouts).
-template <typename Q>
 uint64_t RunChurn(int steps, int resident, uint64_t* sink) {
-  Q q;
+  EventQueue q;
   Rng rng(20260809);
   SimTime now = 0;
   for (int i = 0; i < resident; ++i) {
@@ -240,7 +136,6 @@ uint64_t RunChurn(int steps, int resident, uint64_t* sink) {
 
 struct WorkloadResult {
   std::string workload;
-  std::string impl;
   uint64_t ops = 0;
   double seconds = 0.0;
   double mops_per_s = 0.0;
@@ -250,13 +145,11 @@ struct WorkloadResult {
 // arbitrary scheduling stall, so the fastest repetition is the least-noisy
 // estimate of the workload's actual cost (the standard microbenchmark rule:
 // noise only ever adds time).
-template <typename Q>
-WorkloadResult Measure(const std::string& workload, const std::string& impl,
+WorkloadResult Measure(const std::string& workload,
                        uint64_t (*fn)(int, int, uint64_t*), int a, int b,
                        int reps) {
   WorkloadResult r;
   r.workload = workload;
-  r.impl = impl;
   for (int rep = 0; rep < reps; ++rep) {
     uint64_t sink = 0;
     const auto t0 = std::chrono::steady_clock::now();
@@ -347,24 +240,17 @@ int main(int argc, char** argv) {
 
   struct Spec {
     const char* name;
-    uint64_t (*legacy)(int, int, uint64_t*);
-    uint64_t (*dense)(int, int, uint64_t*);
+    uint64_t (*fn)(int, int, uint64_t*);
     int a, b;
   };
   const Spec specs[] = {
-      {"schedule_pop", &RunSchedulePop<LegacyEventQueue>,
-       &RunSchedulePop<EventQueue>, rounds, batch},
-      {"schedule_pop_deep", &RunSchedulePop<LegacyEventQueue>,
-       &RunSchedulePop<EventQueue>, deep_rounds, deep_batch},
-      {"cancel_heavy", &RunCancelHeavy<LegacyEventQueue>,
-       &RunCancelHeavy<EventQueue>, rounds, batch},
-      {"churn", &RunChurn<LegacyEventQueue>, &RunChurn<EventQueue>,
-       churn_steps, churn_resident},
+      {"schedule_pop", &RunSchedulePop, rounds, batch},
+      {"schedule_pop_deep", &RunSchedulePop, deep_rounds, deep_batch},
+      {"cancel_heavy", &RunCancelHeavy, rounds, batch},
+      {"churn", &RunChurn, churn_steps, churn_resident},
   };
 
-  TablePrinter queue_table(
-      {"workload", "legacy Mops/s", "dense Mops/s", "speedup"});
-  std::vector<WorkloadResult> rows;
+  TablePrinter queue_table({"workload", "Mops/s"});
   std::string queue_json;
   CsvWriter csv;
   const Status csv_status = csv.Open(flags.GetString("out-csv"));
@@ -373,39 +259,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   csv.WriteHeader({"section", "workload", "impl", "ops", "seconds",
-                   "mops_per_s", "speedup_vs_legacy"});
+                   "mops_per_s"});
 
-  double schedule_pop_speedup = 0.0;
   const int reps = smoke ? 1 : 5;
   for (const Spec& spec : specs) {
-    const WorkloadResult legacy = Measure<LegacyEventQueue>(
-        spec.name, "legacy", spec.legacy, spec.a, spec.b, reps);
-    const WorkloadResult dense = Measure<EventQueue>(
-        spec.name, "dense", spec.dense, spec.a, spec.b, reps);
-    const double speedup = legacy.mops_per_s > 0.0
-                               ? dense.mops_per_s / legacy.mops_per_s
-                               : 0.0;
-    if (spec.name == std::string("schedule_pop")) {
-      schedule_pop_speedup = speedup;
-    }
-    queue_table.AddRow({spec.name, FormatDouble(legacy.mops_per_s, 2),
-                        FormatDouble(dense.mops_per_s, 2),
-                        FormatDouble(speedup, 2)});
-    for (const WorkloadResult& r : {legacy, dense}) {
-      JsonWriter row;
-      row.Add("workload", r.workload)
-          .Add("impl", r.impl)
-          .Add("ops", r.ops)
-          .Add("seconds", r.seconds)
-          .Add("mops_per_s", r.mops_per_s)
-          .Add("speedup_vs_legacy",
-               r.impl == "dense" ? speedup : 1.0);
-      if (!queue_json.empty()) queue_json += ',';
-      queue_json += row.ToString();
-      csv.WriteRow({"queue", r.workload, r.impl, StrCat(r.ops),
-                    FormatDouble(r.seconds, 4), FormatDouble(r.mops_per_s, 3),
-                    FormatDouble(r.impl == "dense" ? speedup : 1.0, 3)});
-    }
+    const WorkloadResult r = Measure(spec.name, spec.fn, spec.a, spec.b, reps);
+    queue_table.AddRow({spec.name, FormatDouble(r.mops_per_s, 2)});
+    JsonWriter row;
+    row.Add("workload", r.workload)
+        .Add("impl", "dense")
+        .Add("ops", r.ops)
+        .Add("seconds", r.seconds)
+        .Add("mops_per_s", r.mops_per_s);
+    if (!queue_json.empty()) queue_json += ',';
+    queue_json += row.ToString();
+    csv.WriteRow({"queue", r.workload, "dense", StrCat(r.ops),
+                  FormatDouble(r.seconds, 4), FormatDouble(r.mops_per_s, 3)});
   }
   queue_table.Print();
 
@@ -429,14 +298,13 @@ int main(int argc, char** argv) {
     e2e_json += row.ToString();
     csv.WriteRow({"end_to_end", "replica", r.scheduler, StrCat(r.events),
                   FormatDouble(r.seconds, 4),
-                  FormatDouble(r.events_per_s / 1e6, 3), ""});
+                  FormatDouble(r.events_per_s / 1e6, 3)});
   }
   e2e_table.Print();
 
   JsonWriter json;
   json.Add("bench", "sim_core")
       .Add("smoke", smoke)
-      .Add("schedule_pop_speedup", schedule_pop_speedup)
       .AddRaw("queue", StrCat("[", queue_json, "]"))
       .AddRaw("end_to_end", StrCat("[", e2e_json, "]"));
   const std::string out_path = flags.GetString("out-json");

@@ -1,7 +1,9 @@
 #include "driver/experiments.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -9,34 +11,37 @@
 namespace wtpgsched {
 namespace {
 
-// Env lookups with strict parsing: a malformed value is reported and the
-// fallback kept (atof/atoi would silently turn "1e" or "fast" into 0 and
-// quietly wreck a sweep).
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  double parsed = 0.0;
-  if (!ParseDouble(value, &parsed)) {
-    WTPG_LOG(Warning) << name << "='" << value
-                      << "' is not a number; using default " << fallback;
-    return fallback;
-  }
-  return parsed;
+[[noreturn]] void EnvUsageError(const char* name, const char* value,
+                                const std::string& requirement) {
+  std::fprintf(stderr, "%s='%s' must be %s\n", name, value,
+               requirement.c_str());
+  std::exit(2);
 }
 
-int EnvInt(const char* name, int fallback) {
+}  // namespace
+
+int EnvInt(const char* name, int fallback, int min) {
   const char* value = std::getenv(name);
   if (value == nullptr || value[0] == '\0') return fallback;
+  constexpr int kMax = std::numeric_limits<int>::max();
   int64_t parsed = 0;
-  if (!ParseInt64(value, &parsed)) {
-    WTPG_LOG(Warning) << name << "='" << value
-                      << "' is not an integer; using default " << fallback;
-    return fallback;
+  if (!ParseInt64(value, &parsed) || parsed < min || parsed > kMax) {
+    EnvUsageError(name, value,
+                  StrCat("an integer in [", min, ", ", kMax, "]"));
   }
   return static_cast<int>(parsed);
 }
 
-}  // namespace
+double EnvDouble(const char* name, double fallback, double min, double max) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') return fallback;
+  double parsed = 0.0;
+  // Written so that NaN fails the range test too.
+  if (!ParseDouble(value, &parsed) || !(parsed >= min && parsed <= max)) {
+    EnvUsageError(name, value, Format("a number in [%g, %g]", min, max));
+  }
+  return parsed;
+}
 
 std::vector<SchedulerKind> PaperSchedulers() {
   return {SchedulerKind::kNodc, SchedulerKind::kAsl, SchedulerKind::kGow,
@@ -67,11 +72,11 @@ BenchOptions GetBenchOptions() {
     options.rt_tol_s = 5.0;
     options.horizon_ms = 500'000;
   }
-  options.seeds = EnvInt("WTPG_SEEDS", options.seeds);
-  options.rt_iters = EnvInt("WTPG_RT_ITERS", options.rt_iters);
-  options.rt_tol_s = EnvDouble("WTPG_RT_TOL", options.rt_tol_s);
-  options.horizon_ms = EnvDouble("WTPG_HORIZON_MS", options.horizon_ms);
-  options.jobs = EnvInt("WTPG_JOBS", options.jobs);
+  options.seeds = EnvInt("WTPG_SEEDS", options.seeds, 1);
+  options.rt_iters = EnvInt("WTPG_RT_ITERS", options.rt_iters, 0);
+  options.rt_tol_s = EnvDouble("WTPG_RT_TOL", options.rt_tol_s, 0.0);
+  options.horizon_ms = EnvDouble("WTPG_HORIZON_MS", options.horizon_ms, 1.0);
+  options.jobs = EnvInt("WTPG_JOBS", options.jobs, 1);
   const char* dir = std::getenv("WTPG_CSV_DIR");
   if (dir != nullptr) options.csv_dir = dir;
   return options;

@@ -1,6 +1,7 @@
 #ifndef WTPG_SCHED_DRIVER_EXPERIMENTS_H_
 #define WTPG_SCHED_DRIVER_EXPERIMENTS_H_
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,16 +30,24 @@ std::string SchedulerLabel(SchedulerKind kind);
 SimConfig MakeConfig(SchedulerKind kind, int num_files, int dd,
                      double arrival_rate_tps, double error_sigma = 0.0);
 
-// Effort knobs, overridable via environment variables:
-//   WTPG_SEEDS     seeds per data point          (default 1, as the paper)
-//   WTPG_RT_ITERS  bisection iterations          (default 9)
-//   WTPG_RT_TOL    bisection tolerance, seconds  (default 2.5)
-//   WTPG_HORIZON_MS simulation horizon           (default 2,000,000)
+// Numeric knobs of the bench binaries, read from the environment. Unset or
+// empty gives `fallback`. A value that does not parse, or lies outside
+// [min, max] (an int knob's max is INT_MAX), is a usage error, as a bad
+// flag is for the CLI tools: the binary prints "NAME='value' must be ..."
+// to stderr and exits 2.
+int EnvInt(const char* name, int fallback, int min);
+double EnvDouble(const char* name, double fallback, double min,
+                 double max = std::numeric_limits<double>::infinity());
+
+// Effort knobs, overridable via environment variables (read with EnvInt /
+// EnvDouble, so a bad value exits 2):
+//   WTPG_SEEDS     seeds per data point, >= 1    (default 1, as the paper)
+//   WTPG_RT_ITERS  bisection iterations, >= 0    (default 9)
+//   WTPG_RT_TOL    bisection tolerance, s, >= 0  (default 2.5)
+//   WTPG_HORIZON_MS simulation horizon, >= 1     (default 2,000,000)
 //   WTPG_CSV_DIR   CSV output directory          (default "results")
-//   WTPG_JOBS      replica worker threads        (default: hardware)
+//   WTPG_JOBS      replica worker threads, >= 1  (default: hardware)
 //   WTPG_FAST=1    quick mode: 1 seed, 6 iters, 500k ms horizon
-// Malformed numeric values are reported (warning log) and the default kept,
-// instead of atoi-style silent zeroes.
 struct BenchOptions {
   int seeds = 1;  // The paper reports single runs; raise via WTPG_SEEDS.
   int rt_iters = 9;

@@ -1,8 +1,8 @@
 // Differential testing of the journal-based in-place speculation against the
-// reference copy-based implementation (Wtpg(reference_speculation=true)):
-// random conflict graphs driven through random orientation / evaluation /
-// mutation sequences must produce identical decisions and identical graphs
-// at every step, and a failed OrientBatch must roll back byte-identically.
+// copy-based reference (tests/wtpg/reference_wtpg.h): random conflict graphs
+// driven through random orientation / evaluation / mutation sequences must
+// produce identical decisions and identical graphs at every step, and a
+// failed OrientBatch must roll back byte-identically.
 
 #include <cmath>
 #include <vector>
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "util/random.h"
+#include "wtpg/reference_wtpg.h"
 #include "wtpg/wtpg.h"
 
 namespace wtpgsched {
@@ -67,8 +68,10 @@ TEST(SpeculationDiffTest, RandomSequencesMatchReference) {
   constexpr int kOpsPerSequence = 24;
   Rng rng(20260806);
   for (int seq = 0; seq < kSequences; ++seq) {
-    Wtpg journal_graph(/*reference_speculation=*/false);
-    Wtpg reference_graph(/*reference_speculation=*/true);
+    // Both are production graphs: journal_graph speculates in place,
+    // reference_graph answers every speculation on a clone.
+    Wtpg journal_graph;
+    Wtpg reference_graph;
     const int n = static_cast<int>(rng.UniformInt(2, 10));
     BuildRandomPair(&rng, n, /*edge_prob=*/0.45, &journal_graph,
                     &reference_graph);
@@ -91,7 +94,7 @@ TEST(SpeculationDiffTest, RandomSequencesMatchReference) {
           const TxnId from = flip ? v : u;
           const TxnId to = flip ? u : v;
           ASSERT_EQ(journal_graph.TryOrient(from, to),
-                    reference_graph.TryOrient(from, to))
+                    CopyTryOrient(&reference_graph, from, to))
               << "seq " << seq << " op " << op;
           break;
         }
@@ -102,7 +105,7 @@ TEST(SpeculationDiffTest, RandomSequencesMatchReference) {
           const TxnId v = nbs[static_cast<size_t>(rng.UniformInt(
               0, static_cast<int>(nbs.size()) - 1))];
           ASSERT_EQ(journal_graph.CanOrient(u, v),
-                    reference_graph.CanOrient(u, v))
+                    CopyCanOrient(reference_graph, u, v))
               << "seq " << seq << " op " << op;
           break;
         }
@@ -116,7 +119,7 @@ TEST(SpeculationDiffTest, RandomSequencesMatchReference) {
             }
           }
           const double ej = EvaluateGrant(journal_graph, u, targets);
-          const double er = EvaluateGrant(reference_graph, u, targets);
+          const double er = CopyEvaluateGrant(reference_graph, u, targets);
           if (std::isinf(ej) || std::isinf(er)) {
             ASSERT_EQ(std::isinf(ej), std::isinf(er))
                 << "seq " << seq << " op " << op;
@@ -169,7 +172,7 @@ TEST(SpeculationDiffTest, FailedOrientBatchRollsBackByteIdentical) {
   // Closure-failure regression: 1 -> 2 -> 3 is fixed, so a batch from 3
   // that also targets 4 marks 3 -> 4 before the closure discovers the
   // 3 -> 1 cycle. The rollback must undo the partial marks exactly.
-  Wtpg g(/*reference_speculation=*/false);
+  Wtpg g;
   for (TxnId id : {1, 2, 3, 4}) g.AddNode(id, 1.0);
   g.AddConflictEdge(1, 2, 1.0, 1.0);
   g.AddConflictEdge(2, 3, 1.0, 1.0);
@@ -201,7 +204,7 @@ TEST(SpeculationDiffTest, FailedOrientBatchRollsBackByteIdentical) {
 }
 
 TEST(SpeculationDiffTest, EvaluateGrantLeavesGraphUntouched) {
-  Wtpg g(/*reference_speculation=*/false);
+  Wtpg g;
   for (TxnId id : {1, 2, 3}) g.AddNode(id, 2.0);
   g.AddConflictEdge(1, 2, 1.0, 4.0);
   g.AddConflictEdge(2, 3, 2.0, 5.0);
