@@ -46,8 +46,9 @@ using namespace wtpgsched;
 
 namespace {
 
-// PR 5 recorded baseline (results/BENCH_sim_core.json): C2PL before the
-// decision-cache layer. The acceptance floor below is 5x this.
+// C2PL before the decision-cache layer: the C2PL row of the `sim_core`
+// entry at commit dc3cb3e in the frozen results/BENCH_trajectory.json. The
+// acceptance floor below is 5x this.
 constexpr double kC2plBaselineEventsPerS = 28'371.0;
 
 double Seconds(std::chrono::steady_clock::time_point start,
@@ -68,9 +69,12 @@ struct EndToEndResult {
   uint64_t block_shortcuts = 0;
 };
 
-// One replica at the contended Fig.-8 operating point (see
-// micro_sim_core.cc for why the arrival cap, not the horizon, bounds the
-// work).
+// One replica near the knee of the Fig.-8 rate grid: contended enough that
+// scheduler decisions (WTPG evaluations, lock scans) dominate, not idle
+// arrivals. The arrival cap, not the horizon, bounds the work: a saturated
+// scheduler's backlog grows with simulated time, so long horizons cost
+// quadratic wall time; a fixed arrival count with a generous drain horizon
+// keeps every scheduler's workload comparable and finite.
 EndToEndResult RunEndToEnd(SchedulerKind kind, uint64_t max_arrivals) {
   SimConfig config;
   config.scheduler = kind;

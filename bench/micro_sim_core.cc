@@ -1,14 +1,15 @@
-// micro_sim_core — microbenchmark of the simulator kernel.
+// micro_sim_core — microbenchmark of the simulator's event queue.
 //
-// Four EventQueue workloads (schedule+pop at the measured-realistic queue
-// size, a deep-heap variant, cancel-heavy, steady-state churn), then one
-// short end-to-end replica per scheduler reporting whole-kernel events/sec.
-// The numbers of the pre-rewrite queue (std::function callbacks keyed by id
-// in an unordered_map, tombstoned cancels) are kept in
-// results/BENCH_trajectory.json. Results land in BENCH_sim_core.json and a
-// CSV for per-PR tracking; --smoke shrinks the iteration counts to seconds
-// for the perf-labeled ctest target (also run under ASan, where absolute
-// numbers are meaningless but the workloads double as a stress test).
+// Four EventQueue workloads: schedule+pop at the measured-realistic queue
+// size, a deep-heap variant, cancel-heavy, and steady-state churn. The
+// simulator's end-to-end speed is bench_e2e's to measure (per-scheduler
+// events/s: micro_decision_cache). The numbers of the pre-rewrite queue
+// (std::function callbacks keyed by id in an unordered_map, tombstoned
+// cancels) stay in the frozen results/BENCH_trajectory.json. Results land in
+// BENCH_sim_core.json and a CSV; --smoke shrinks the iteration counts to
+// seconds for the perf-labeled ctest target (also run under ASan, where
+// absolute numbers are meaningless but the workloads double as a stress
+// test).
 
 #include <chrono>
 #include <cstdint>
@@ -18,9 +19,6 @@
 #include <vector>
 
 #include "driver/report.h"
-#include "driver/sim_run.h"
-#include "machine/config.h"
-#include "machine/machine.h"
 #include "sim/event_queue.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -28,7 +26,6 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
-#include "workload/pattern.h"
 
 using namespace wtpgsched;
 
@@ -167,40 +164,6 @@ WorkloadResult Measure(const std::string& workload,
   return r;
 }
 
-struct EndToEndResult {
-  std::string scheduler;
-  uint64_t events = 0;
-  double seconds = 0.0;
-  double events_per_s = 0.0;
-  uint64_t completions = 0;
-};
-
-EndToEndResult RunEndToEnd(SchedulerKind kind, uint64_t max_arrivals,
-                           double horizon_ms) {
-  SimConfig config;
-  config.scheduler = kind;
-  config.run.horizon_ms = horizon_ms;
-  // Near the knee of the Fig.-8 rate grid: contended enough that scheduler
-  // decisions (WTPG evaluations, lock scans) dominate, not idle arrivals.
-  // The arrival cap (not the horizon) bounds the work: a saturated
-  // scheduler's backlog grows with simulated time, so long horizons cost
-  // quadratic wall time; a fixed arrival count with a generous drain
-  // horizon keeps every scheduler's workload comparable and finite.
-  config.workload.arrival_rate_tps = 1.2;
-  config.workload.max_arrivals = max_arrivals;
-  Machine machine(config, Pattern::Experiment1(config.machine.num_files));
-  const auto t0 = std::chrono::steady_clock::now();
-  const RunStats stats = machine.Run();
-  const auto t1 = std::chrono::steady_clock::now();
-  EndToEndResult r;
-  r.scheduler = SchedulerKindName(kind);
-  r.events = machine.simulator().events_executed();
-  r.seconds = Seconds(t0, t1);
-  r.events_per_s = r.seconds > 0.0 ? r.events / r.seconds : 0.0;
-  r.completions = stats.completions;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -235,8 +198,6 @@ int main(int argc, char** argv) {
   const int deep_batch = 1024;
   const int churn_steps = smoke ? 20'000 : 4'000'000;
   const int churn_resident = 4096;
-  const uint64_t max_arrivals = smoke ? 200 : 5'000;
-  const double horizon_ms = 100'000'000;  // Drain horizon; arrivals bound work.
 
   struct Spec {
     const char* name;
@@ -258,8 +219,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", csv_status.ToString().c_str());
     return 1;
   }
-  csv.WriteHeader({"section", "workload", "impl", "ops", "seconds",
-                   "mops_per_s"});
+  csv.WriteHeader({"workload", "ops", "seconds", "mops_per_s"});
 
   const int reps = smoke ? 1 : 5;
   for (const Spec& spec : specs) {
@@ -267,46 +227,20 @@ int main(int argc, char** argv) {
     queue_table.AddRow({spec.name, FormatDouble(r.mops_per_s, 2)});
     JsonWriter row;
     row.Add("workload", r.workload)
-        .Add("impl", "dense")
         .Add("ops", r.ops)
         .Add("seconds", r.seconds)
         .Add("mops_per_s", r.mops_per_s);
     if (!queue_json.empty()) queue_json += ',';
     queue_json += row.ToString();
-    csv.WriteRow({"queue", r.workload, "dense", StrCat(r.ops),
-                  FormatDouble(r.seconds, 4), FormatDouble(r.mops_per_s, 3)});
+    csv.WriteRow({r.workload, StrCat(r.ops), FormatDouble(r.seconds, 4),
+                  FormatDouble(r.mops_per_s, 3)});
   }
   queue_table.Print();
-
-  constexpr SchedulerKind kKinds[] = {SchedulerKind::kTwoPl,
-                                      SchedulerKind::kC2pl,
-                                      SchedulerKind::kGow, SchedulerKind::kLow};
-  TablePrinter e2e_table({"scheduler", "events", "wall(s)", "events/s"});
-  std::string e2e_json;
-  for (SchedulerKind kind : kKinds) {
-    const EndToEndResult r = RunEndToEnd(kind, max_arrivals, horizon_ms);
-    e2e_table.AddRow({r.scheduler, StrCat(r.events),
-                      FormatDouble(r.seconds, 3),
-                      FormatDouble(r.events_per_s, 0)});
-    JsonWriter row;
-    row.Add("scheduler", r.scheduler)
-        .Add("events", r.events)
-        .Add("seconds", r.seconds)
-        .Add("events_per_s", r.events_per_s)
-        .Add("completions", r.completions);
-    if (!e2e_json.empty()) e2e_json += ',';
-    e2e_json += row.ToString();
-    csv.WriteRow({"end_to_end", "replica", r.scheduler, StrCat(r.events),
-                  FormatDouble(r.seconds, 4),
-                  FormatDouble(r.events_per_s / 1e6, 3)});
-  }
-  e2e_table.Print();
 
   JsonWriter json;
   json.Add("bench", "sim_core")
       .Add("smoke", smoke)
-      .AddRaw("queue", StrCat("[", queue_json, "]"))
-      .AddRaw("end_to_end", StrCat("[", e2e_json, "]"));
+      .AddRaw("queue", StrCat("[", queue_json, "]"));
   const std::string out_path = flags.GetString("out-json");
   std::ofstream out(out_path);
   out << json.ToString() << "\n";

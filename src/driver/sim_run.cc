@@ -1,8 +1,8 @@
 #include "driver/sim_run.h"
 
-#include <cstdlib>
 #include <map>
 
+#include "driver/experiments.h"
 #include "machine/machine.h"
 #include "metrics/counters.h"
 #include "util/json_writer.h"
@@ -138,19 +138,8 @@ RunStats RunSimulation(const SimConfig& config,
 }
 
 int DefaultJobs() {
-  static const int jobs = [] {
-    const char* env = std::getenv("WTPG_JOBS");
-    if (env != nullptr && env[0] != '\0') {
-      int64_t value = 0;
-      if (ParseInt64(env, &value) && value >= 1) {
-        return static_cast<int>(value);
-      }
-      WTPG_LOG(Warning) << "WTPG_JOBS='" << env
-                        << "' is not a positive integer; using hardware "
-                           "concurrency";
-    }
-    return ThreadPool::HardwareThreads();
-  }();
+  static const int jobs =
+      EnvInt("WTPG_JOBS", ThreadPool::HardwareThreads(), /*min=*/1);
   return jobs;
 }
 

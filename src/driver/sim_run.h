@@ -37,8 +37,9 @@ RunStats RunSimulation(const SimConfig& config,
 // everywhere) resolves to DefaultJobs().
 int ResolveJobs(int jobs);
 
-// WTPG_JOBS environment override when set (>= 1; garbage is reported and
-// ignored), otherwise the hardware thread count.
+// WTPG_JOBS environment override when set, otherwise the hardware thread
+// count. It is read with EnvInt (driver/experiments.h), as the bench
+// binaries read it: a value that is not an integer >= 1 exits 2.
 int DefaultJobs();
 
 // Runs one replica per config, `jobs` at a time, and returns their stats in

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "util/json_reader.h"
-#include "util/json_writer.h"
 #include "util/string_util.h"
 
 namespace wtpgsched {
@@ -137,76 +136,6 @@ Status SimConfig::Validate() const {
 }
 
 namespace {
-
-// `mpl` is "unlimited" at INT_MAX; the JSON artifact (like the --mpl flag)
-// spells that 0 so the file stays readable and platform-independent.
-int64_t MplToJson(int mpl) {
-  return mpl == std::numeric_limits<int>::max() ? 0 : mpl;
-}
-
-std::string MachineToJson(const MachineSection& m) {
-  JsonWriter w;
-  w.Add("num_nodes", m.num_nodes)
-      .Add("num_files", m.num_files)
-      .Add("dd", m.dd)
-      .Add("mpl", MplToJson(m.mpl))
-      .Add("quantum_objects", m.quantum_objects)
-      .Add("batch_mpl", m.batch_mpl);
-  return w.ToString();
-}
-
-std::string CostsToJson(const CostSection& c) {
-  JsonWriter w;
-  w.Add("obj_time_ms", c.obj_time_ms)
-      .Add("msg_time_ms", c.msg_time_ms)
-      .Add("sot_time_ms", c.sot_time_ms)
-      .Add("cot_time_ms", c.cot_time_ms)
-      .Add("dd_time_ms", c.dd_time_ms)
-      .Add("kwtpg_time_ms", c.kwtpg_time_ms)
-      .Add("chain_time_ms", c.chain_time_ms)
-      .Add("top_time_ms", c.top_time_ms);
-  return w.ToString();
-}
-
-std::string WorkloadToJson(const WorkloadSection& wl) {
-  JsonWriter w;
-  w.Add("arrival_rate_tps", wl.arrival_rate_tps)
-      .Add("error_sigma", wl.error_sigma)
-      .Add("max_arrivals", wl.max_arrivals)
-      .Add("zipf_theta", wl.zipf_theta);
-  return w.ToString();
-}
-
-std::string RunToJson(const RunSection& r) {
-  JsonWriter w;
-  w.Add("horizon_ms", r.horizon_ms)
-      .Add("warmup_ms", r.warmup_ms)
-      .Add("retry_fallback_ms", r.retry_fallback_ms)
-      .Add("admission_retry_limit", r.admission_retry_limit)
-      .Add("restart_delay_ms", r.restart_delay_ms)
-      .Add("telemetry_sample_ms", r.telemetry_sample_ms)
-      .Add("telemetry_capacity", r.telemetry_capacity)
-      .Add("trace_enabled", r.trace_enabled)
-      .Add("trace_capacity", r.trace_capacity)
-      .Add("tail_metrics", r.tail_metrics)
-      .Add("tail_sketch", r.tail_sketch)
-      .Add("seed", r.seed);
-  return w.ToString();
-}
-
-std::string FaultToJson(const FaultConfig& f) {
-  JsonWriter w;
-  w.Add("dpn_mttf_ms", f.dpn_mttf_ms)
-      .Add("dpn_mttr_ms", f.dpn_mttr_ms)
-      .Add("straggler_mtbf_ms", f.straggler_mtbf_ms)
-      .Add("straggler_duration_ms", f.straggler_duration_ms)
-      .Add("straggler_factor", f.straggler_factor)
-      .Add("abort_rate_per_s", f.abort_rate_per_s)
-      .Add("backoff_base_ms", f.backoff_base_ms)
-      .Add("backoff_max_ms", f.backoff_max_ms)
-      .Add("backoff_jitter", f.backoff_jitter);
-  return w.ToString();
-}
 
 // --- Typed field extraction for FromJson ---
 
@@ -367,21 +296,6 @@ Status ParseFault(const JsonValue& obj, FaultConfig* f) {
 }
 
 }  // namespace
-
-std::string SimConfig::ToJson() const {
-  JsonWriter w;
-  w.AddRaw("machine", MachineToJson(machine))
-      .AddRaw("costs", CostsToJson(costs))
-      .AddRaw("workload", WorkloadToJson(workload))
-      .AddRaw("run", RunToJson(run))
-      .AddRaw("fault", FaultToJson(fault))
-      .Add("scheduler", SchedulerKindFlagName(scheduler))
-      .Add("low_k", low_k)
-      .Add("low_charge_per_eval", low_charge_per_eval)
-      .Add("low_lb_weight", low_lb_weight)
-      .Add("opt_validate_writes", opt_validate_writes);
-  return w.ToString();
-}
 
 StatusOr<SimConfig> SimConfig::FromJson(const std::string& json) {
   StatusOr<JsonValue> parsed = ParseJson(json);

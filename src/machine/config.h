@@ -31,9 +31,8 @@ const char* SchedulerKindFlagName(SchedulerKind kind);
 bool ParseSchedulerKind(const std::string& name, SchedulerKind* out);
 
 // Simulation parameters, grouped into named sections (machine / costs /
-// workload / run / fault) that serialize to one JSON artifact
-// (SimConfig::ToJson / FromJson, --config on the tools). Defaults
-// reproduce Table 1 of the paper.
+// workload / run / fault) that a JSON file can set (SimConfig::FromJson,
+// --config on the tools). Defaults reproduce Table 1 of the paper.
 
 // --- The shared-nothing machine (paper Fig. 1) ---
 struct MachineSection {
@@ -141,10 +140,10 @@ struct SimConfig {
 
   Status Validate() const;
 
-  // One JSON object with a nested object per section — the reproducibility
-  // artifact behind --config. FromJson accepts partial files (absent keys
-  // keep their defaults) and rejects unknown keys.
-  std::string ToJson() const;
+  // One JSON object with a nested object per section, plus the top-level
+  // scheduler keys; `machine.mpl: 0` means unlimited, as --mpl does. Partial
+  // files are accepted (absent keys keep their defaults); unknown keys are
+  // rejected.
   static StatusOr<SimConfig> FromJson(const std::string& json);
   // Reads and parses a config file (the --config flag on the tools).
   static StatusOr<SimConfig> FromJsonFile(const std::string& path);

@@ -29,31 +29,43 @@ std::vector<WeightedPattern> ApplyZipf(std::vector<WeightedPattern> mix,
   return mix;
 }
 
+// A bad config must die with Validate()'s message, not with the check of
+// whatever is built first from the bad field (the scheduler, the workload
+// generator, StatsCollector). So every argument a constructor builds from
+// `config` goes through this, and so does config_, the first member.
+const SimConfig& Validated(const SimConfig& config) {
+  const Status valid = config.Validate();
+  WTPG_CHECK(valid.ok()) << valid.ToString();
+  return config;
+}
+
+// `source` is a Pattern or a std::vector<WeightedPattern>.
+template <typename Source>
+WorkloadGenerator MakeWorkload(const SimConfig& config, Source source) {
+  Validated(config);
+  return WorkloadGenerator(
+      ApplyZipf(std::move(source), config.workload.zipf_theta),
+      config.workload.arrival_rate_tps, config.machine.dd,
+      ErrorModel{config.workload.error_sigma}, config.run.seed);
+}
+
 }  // namespace
 
 Machine::Machine(const SimConfig& config, Pattern pattern)
-    : Machine(config, std::move(pattern), CreateScheduler(config)) {}
+    : Machine(config, std::move(pattern), CreateScheduler(Validated(config))) {}
 
 Machine::Machine(const SimConfig& config, std::vector<WeightedPattern> mix)
-    : Machine(config,
-              WorkloadGenerator(ApplyZipf(std::move(mix), config.workload.zipf_theta),
-                                config.workload.arrival_rate_tps,
-                                config.machine.dd, ErrorModel{config.workload.error_sigma},
-                                config.run.seed),
-              CreateScheduler(config)) {}
+    : Machine(config, MakeWorkload(config, std::move(mix)),
+              CreateScheduler(Validated(config))) {}
 
 Machine::Machine(const SimConfig& config, Pattern pattern,
                  std::unique_ptr<Scheduler> scheduler)
-    : Machine(config,
-              WorkloadGenerator(ApplyZipf(std::move(pattern), config.workload.zipf_theta),
-                                config.workload.arrival_rate_tps,
-                                config.machine.dd, ErrorModel{config.workload.error_sigma},
-                                config.run.seed),
+    : Machine(config, MakeWorkload(config, std::move(pattern)),
               std::move(scheduler)) {}
 
 Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
                  std::unique_ptr<Scheduler> scheduler)
-    : config_(config),
+    : config_(Validated(config)),
       sim_(),
       placement_(config.machine.num_nodes, config.machine.num_files, config.machine.dd),
       workload_(std::move(workload)),
@@ -63,8 +75,6 @@ Machine::Machine(const SimConfig& config, WorkloadGenerator workload,
              TailOptions{config.run.tail_metrics, config.run.tail_sketch}),
       faults_enabled_(config.fault.enabled()),
       fault_rng_(config.run.seed ^ 0xda3e39cb94b95bdbull) {
-  const Status valid = config.Validate();
-  WTPG_CHECK(valid.ok()) << valid.ToString();
   WTPG_CHECK_LT(workload_.MaxFileId(), config.machine.num_files)
       << "pattern references files beyond num_files";
   for (int i = 0; i < config.machine.num_nodes; ++i) {

@@ -9,7 +9,7 @@ namespace wtpgsched {
 
 void AddCommonToolFlags(FlagParser& flags) {
   flags.AddString("config", "",
-                  "JSON config file (SimConfig::ToJson format); explicitly "
+                  "JSON config file (SimConfig::FromJson format); explicitly "
                   "set flags override its fields");
   flags.AddString("scheduler", "low", "nodc|asl|c2pl|opt|gow|low|low-lb|2pl");
   flags.AddInt("seed", 1, "base RNG seed");
@@ -17,8 +17,9 @@ void AddCommonToolFlags(FlagParser& flags) {
                "replicas at seed, seed+1, ...; aggregates across seeds "
                "when > 1");
   flags.AddInt("jobs", 0,
-               "replica worker threads (0 = WTPG_JOBS env or hardware "
-               "concurrency); results are identical for any value");
+               "replica worker threads (0 = WTPG_JOBS env, an integer >= 1, "
+               "or hardware concurrency); results are identical for any "
+               "value");
   flags.AddBool("json", false, "print results as JSON");
   flags.AddString("log-level", "warning", "debug|info|warning|error");
   flags.AddBool("help", false, "print usage");

@@ -174,5 +174,29 @@ TEST(MachineDeathTest, RunTwiceDies) {
   EXPECT_DEATH(m.Run(), "twice");
 }
 
+// A library caller with a bad config sees Validate()'s message, not the
+// check of whatever is built first from the bad field: StatsCollector
+// (horizon), the workload generator (dd, rate) or the scheduler (LOW's K).
+TEST(MachineTest, InvalidConfigDiesWithValidateMessage) {
+  SimConfig c = SmallConfig(SchedulerKind::kNodc);
+  c.run.horizon_ms = -5;
+  EXPECT_DEATH(Machine(c, Pattern::Experiment1(16)),
+               "horizon_ms must be > 0");
+
+  c = SmallConfig(SchedulerKind::kNodc);
+  c.machine.dd = 0;
+  EXPECT_DEATH(Machine(c, Pattern::Experiment1(16)), "dd must be in");
+
+  c = SmallConfig(SchedulerKind::kLow);
+  c.low_k = -1;
+  EXPECT_DEATH(Machine(c, Pattern::Experiment1(16)), "low_k must be >= 0");
+
+  c = SmallConfig(SchedulerKind::kNodc);
+  c.workload.arrival_rate_tps = 0.0;
+  std::vector<WeightedPattern> mix;
+  mix.push_back(WeightedPattern{Pattern::Experiment1(16), 1.0});
+  EXPECT_DEATH(Machine(c, std::move(mix)), "arrival_rate_tps must be > 0");
+}
+
 }  // namespace
 }  // namespace wtpgsched

@@ -122,13 +122,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--rates is empty\n");
       return 2;
     }
-    static TablePrinter t({"lambda(tps)", "mean RT(s)", "median(s)",
-                           "tput(tps)", "blocked", "delayed", "restarts",
-                           "seeds"});
+    static TablePrinter t({"lambda(tps)", "mean RT(s)", "tput(tps)",
+                           "blocked", "delayed", "restarts", "seeds"});
     for (const SweepPoint& p :
          SweepArrivalRates(config, pattern, rates, seeds, jobs)) {
       t.AddRow({FmtTps(p.lambda_tps), FmtSeconds(p.result.mean_response_s),
-                FmtSeconds(0.0), FmtTps(p.result.throughput_tps),
+                FmtTps(p.result.throughput_tps),
                 FormatDouble(p.result.blocked, 0),
                 FormatDouble(p.result.delayed, 0),
                 FormatDouble(p.result.restarts, 0),
